@@ -52,6 +52,10 @@ class InvalidRing(SkewPBWError):
     """A finite ring table failed the construction-time law checks."""
 
 
+class RingTooLarge(SkewPBWError):
+    """A finite ring has more elements than its index tables are allowed to cover."""
+
+
 class PreconditionFailed(SkewPBWError):
     pass
 

@@ -117,54 +117,6 @@ class Ring:
         raise NotImplementedError
 
 
-class PrimeField(Ring):
-    kind = "prime-field"
-    is_field = True
-    is_domain = True
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.size = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def unit_inverse(self, a):
-        if a % self.p == 0:
-            return None
-        return pow(a, -1, self.p)
-
-    def from_int(self, k):
-        return k % self.p
-
-    def check(self, a):
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.p:
-            raise KindMismatch(f"{a!r} is not a canonical element of {self}")
-        return a
-
-    def elements(self):
-        return iter(range(self.p))
-
-    def random_element(self, rng):
-        return rng.randrange(self.p)
-
-    def descriptor(self):
-        return ("prime-field", self.p)
-
-    def describe(self):
-        return f"F_{self.p}"
-
-
 class Rationals(Ring):
     kind = "rationals"
     size = None
@@ -210,14 +162,13 @@ class ResidueRing(Ring):
     """Z/n with n >= 2, composite n allowed (zero divisors welcome)."""
 
     kind = "residue"
-    is_field = False
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("modulus must be >= 2")
         self.n = n
         self.size = n
-        self.is_domain = _is_prime(n)
+        self.is_field = self.is_domain = _is_prime(n)
         self.zero = 0
         self.one = 1
 
@@ -255,6 +206,24 @@ class ResidueRing(Ring):
 
     def describe(self):
         return f"Z/{self.n}"
+
+
+class PrimeField(ResidueRing):
+    """F_p: the residue ring of a prime modulus, with its own kind and name."""
+
+    kind = "prime-field"
+
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        super().__init__(p)
+        self.p = p
+
+    def descriptor(self):
+        return ("prime-field", self.p)
+
+    def describe(self):
+        return f"F_{self.p}"
 
 
 def _trim(cs: tuple, zero) -> tuple:

@@ -2,9 +2,11 @@
 
 Two backends:
 
-* finite commutative rings (Z/n, F_p[x]/(f), finite products, raw tables),
-  where primes, radicals, and lattice laws are settled by exhaustive
-  enumeration; and
+* finite commutative rings (Z/n, F_p[x]/(f), finite products, quotients,
+  any carrier with add and mul callables), read once into index tables:
+  element i is index i, an ideal is an int bitmask whose bit i is element
+  i, and primes, radicals, and lattice laws are settled by exhaustive
+  enumeration over those masks; and
 * F_p[t], where D(generators) is the squarefree part of their gcd, kept as a
   canonical monic representative.
 
@@ -26,131 +28,161 @@ first hit to stay equivalent.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import InvalidRing, NotFoundWithinBound, PreconditionFailed
-from .rings import PolynomialRing, PrimeField, QuotientRing, Ring
+from .errors import InvalidRing, NotFoundWithinBound, PreconditionFailed, RingTooLarge
+from .parsing import parse_scalar, tokenize
+from .rings import PolynomialRing, PrimeField, QuotientRing, ResidueRing, Ring
 
+# The add and mul tables hold 2 n^2 entries; 256 elements keep them near 1 MiB.
+MAX_RING_SIZE = 256
 _EXHAUSTIVE_LIMIT = 64
 _SUBSET_LIMIT = 16
 
 
-class FiniteCommRing:
-    """Finite commutative unital ring with enumerable elements.
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending: the canonical order of an ideal."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Ring laws are validated at construction: exhaustively up to
-    64 elements, by seeded sampling above that.
+
+def _mask(indices) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _too_large(label: str) -> RingTooLarge:
+    return RingTooLarge(
+        f"{label} has more than {MAX_RING_SIZE} elements, the limit for a finite ring"
+    )
+
+
+class FiniteCommRing:
+    """Finite commutative unital ring, held as index tables.
+
+    Element i of `elements` has index i.  `add` and `mul` are called once per
+    pair to fill `add_table` and `mul_table` (indices in, index out); the ring
+    laws are then validated on the tables, exhaustively up to 64 elements and
+    by seeded sampling above that, and negation is read off the add table.
+    Every algorithm in this module runs on indices, with an ideal carried as
+    an int bitmask over them (see `IdealFin`).  Carriers above
+    `MAX_RING_SIZE` elements are refused.
     """
 
-    def __init__(self, elements, add, mul, zero, one, label: str = "ring", _trusted=False):
-        self.elements = tuple(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+    def __init__(self, elements, add, mul, zero, one, label: str = "ring"):
+        els = tuple(itertools.islice(elements, MAX_RING_SIZE + 1))
+        if len(els) > MAX_RING_SIZE:
+            raise _too_large(label)
+        self.elements = els
+        self.index = index = {e: i for i, e in enumerate(els)}
+        if len(index) != len(els):
             raise InvalidRing("duplicate elements in carrier")
-        self._add = add
-        self._mul = mul
+        if zero not in index or one not in index:
+            raise InvalidRing("carrier must contain 0 and 1")
+        try:
+            self.add_table = [[index[add(a, b)] for b in els] for a in els]
+            self.mul_table = [[index[mul(a, b)] for b in els] for a in els]
+        except KeyError:
+            raise InvalidRing("addition or multiplication leaves the carrier") from None
         self.zero = zero
         self.one = one
         self.label = label
-        self.size = len(self.elements)
-        self._format = str
-        self._parse = None
-        self._neg = {}
-        if not _trusted:
-            self._validate()
-        for a in self.elements:
-            for b in self.elements:
-                if add(a, b) == zero:
-                    self._neg[a] = b
-                    break
-            else:
+        self.size = len(els)
+        self.zero_i = index[zero]
+        self.one_i = index[one]
+        self.full = (1 << self.size) - 1
+        self._validate()
+        self.neg_table = []
+        for a, row in zip(els, self.add_table):
+            if self.zero_i not in row:
                 raise InvalidRing(f"{a!r} has no additive inverse")
+            self.neg_table.append(row.index(self.zero_i))
+        # in a commutative unital ring the multiples of a already form <a>
+        self.principal = [_mask(row) for row in self.mul_table]
+        self.source: Ring | None = None  # ring whose syntax and format the elements follow
+        self._ideals = None
+        self._primes = None
+        self._zar = None
 
     def add(self, a, b):
-        return self._add(a, b)
+        index = self.index
+        return self.elements[self.add_table[index[a]][index[b]]]
 
     def mul(self, a, b):
-        return self._mul(a, b)
+        index = self.index
+        return self.elements[self.mul_table[index[a]][index[b]]]
 
     def neg(self, a):
-        return self._neg[a]
+        return self.elements[self.neg_table[self.index[a]]]
 
     def sub(self, a, b):
-        return self._add(a, self._neg[b])
+        return self.add(a, self.neg(b))
 
-    def is_unit(self, a) -> bool:
-        return any(self._mul(a, b) == self.one for b in self.elements)
+    def mask_of(self, elements) -> int:
+        index = self.index
+        return _mask(index[a] for a in elements)
 
     def _validate(self):
-        els = self.elements
-        if self.zero not in self.index or self.one not in self.index:
-            raise InvalidRing("carrier must contain 0 and 1")
-        if self.size <= _EXHAUSTIVE_LIMIT:
-            triples = itertools.product(els, repeat=3)
-            pairs = itertools.product(els, repeat=2)
+        els, n = self.elements, self.size
+        A, M = self.add_table, self.mul_table
+        if n <= _EXHAUSTIVE_LIMIT:
+            triples = itertools.product(range(n), repeat=3)
+            pairs = itertools.product(range(n), repeat=2)
         else:
-            import random as _random
-
-            rng = _random.Random(9)
-            triples = (tuple(rng.choice(els) for _ in range(3)) for _ in range(4000))
-            pairs = (tuple(rng.choice(els) for _ in range(2)) for _ in range(4000))
+            rng = random.Random(9)
+            triples = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(4000))
+            pairs = (tuple(rng.randrange(n) for _ in range(2)) for _ in range(4000))
         for a, b in pairs:
-            if self._add(a, b) != self._add(b, a):
-                raise InvalidRing(f"addition not commutative at {(a, b)!r}")
-            if self._mul(a, b) != self._mul(b, a):
-                raise InvalidRing(f"multiplication not commutative at {(a, b)!r}")
+            if A[a][b] != A[b][a]:
+                raise InvalidRing(f"addition not commutative at {(els[a], els[b])!r}")
+            if M[a][b] != M[b][a]:
+                raise InvalidRing(f"multiplication not commutative at {(els[a], els[b])!r}")
         for a, b, c in triples:
-            if self._add(self._add(a, b), c) != self._add(a, self._add(b, c)):
-                raise InvalidRing(f"addition not associative at {(a, b, c)!r}")
-            if self._mul(self._mul(a, b), c) != self._mul(a, self._mul(b, c)):
-                raise InvalidRing(f"multiplication not associative at {(a, b, c)!r}")
-            if self._mul(a, self._add(b, c)) != self._add(self._mul(a, b), self._mul(a, c)):
-                raise InvalidRing(f"distributivity fails at {(a, b, c)!r}")
-        for a in els:
-            if self._add(a, self.zero) != a or self._mul(a, self.one) != a:
-                raise InvalidRing(f"identity laws fail at {a!r}")
+            if A[A[a][b]][c] != A[a][A[b][c]]:
+                raise InvalidRing(f"addition not associative at {(els[a], els[b], els[c])!r}")
+            if M[M[a][b]][c] != M[a][M[b][c]]:
+                raise InvalidRing(f"multiplication not associative at {(els[a], els[b], els[c])!r}")
+            if M[a][A[b][c]] != A[M[a][b]][M[a][c]]:
+                raise InvalidRing(f"distributivity fails at {(els[a], els[b], els[c])!r}")
+        for a in range(n):
+            if A[a][self.zero_i] != a or M[a][self.one_i] != a:
+                raise InvalidRing(f"identity laws fail at {els[a]!r}")
 
     # -- constructors ------------------------------------------------------------
 
     @classmethod
     def from_ring(cls, ring: Ring, label: str | None = None) -> "FiniteCommRing":
-        els = list(ring.elements())
-        out = cls(els, ring.add, ring.mul, ring.zero, ring.one, label or ring.describe())
-        out._format = ring.format
+        out = cls(ring.elements(), ring.add, ring.mul, ring.zero, ring.one, label or ring.describe())
+        out.source = ring
         return out
 
     @classmethod
     def zmod(cls, n: int) -> "FiniteCommRing":
-        from .rings import ResidueRing
-
-        out = cls.from_ring(ResidueRing(n), f"Z/{n}")
-        out._parse = lambda text: int(text) % n
-        return out
+        return cls.from_ring(ResidueRing(n), f"Z/{n}")
 
     @classmethod
     def fp(cls, p: int) -> "FiniteCommRing":
-        out = cls.from_ring(PrimeField(p), f"F_{p}")
-        out._parse = lambda text: int(text) % p
-        return out
+        return cls.from_ring(PrimeField(p), f"F_{p}")
 
     @classmethod
     def quotient_poly(cls, p: int, modulus, gen_name: str = "x") -> "FiniteCommRing":
-        ring = QuotientRing(p, modulus, gen_name)
-        out = cls.from_ring(ring)
-
-        def _parse(text):
-            from .parsing import parse_scalar
-
-            return ring._reduce(parse_scalar(text, ring.poly))
-
-        out._parse = _parse
-        return out
+        # checked before QuotientRing, whose irreducibility scan grows with the size
+        if p ** (len(modulus) - 1) > MAX_RING_SIZE:
+            raise _too_large(f"F_{p}[{gen_name}]/(modulus of degree {len(modulus) - 1})")
+        return cls.from_ring(QuotientRing(p, modulus, gen_name))
 
     @classmethod
     def product(cls, r1: "FiniteCommRing", r2: "FiniteCommRing") -> "FiniteCommRing":
-        els = [(a, b) for a in r1.elements for b in r2.elements]
         return cls(
-            els,
+            ((a, b) for a in r1.elements for b in r2.elements),
             lambda x, y: (r1.add(x[0], y[0]), r2.add(x[1], y[1])),
             lambda x, y: (r1.mul(x[0], y[0]), r2.mul(x[1], y[1])),
             (r1.zero, r2.zero),
@@ -158,36 +190,37 @@ class FiniteCommRing:
             f"{r1.label} x {r2.label}",
         )
 
-    def quotient_by(self, ideal: "IdealFin") -> "FiniteCommRing":
-        """Quotient ring on canonical coset representatives."""
-        rep = {}
-        for a in self.elements:
-            if a in rep:
-                continue
-            coset = sorted((self.add(a, x) for x in ideal.elements), key=self.index.__getitem__)
-            lead = coset[0]
-            for c in coset:
-                rep[c] = lead
-        els = sorted(set(rep.values()), key=self.index.__getitem__)
+    def quotient_by(self, ideal: "IdealFin") -> tuple["FiniteCommRing", dict]:
+        """Quotient ring on canonical coset representatives, with the map onto them.
+
+        The representative of a coset is its element of least index.
+        """
+        els, A = self.elements, self.add_table
+        members = _bits(ideal.mask)
+        lead = [None] * self.size
+        for a in range(self.size):
+            if lead[a] is None:
+                for x in members:
+                    lead[A[a][x]] = a
+        rep = {els[c]: els[lead[c]] for c in range(self.size)}
         out = FiniteCommRing(
-            els,
+            (els[a] for a in range(self.size) if lead[a] == a),
             lambda x, y: rep[self.add(x, y)],
             lambda x, y: rep[self.mul(x, y)],
             rep[self.zero],
             rep[self.one],
             f"{self.label}/{ideal.short()}",
-            _trusted=True,
         )
-        out._format = self._format
+        out.source = self.source
         return out, rep
 
     def format(self, a) -> str:
-        return self._format(a)
+        return str(a) if self.source is None else self.source.format(a)
 
     def element_from_text(self, text: str):
-        if self._parse is None:
+        if self.source is None:
             raise ValueError(f"{self.label} has no element syntax; index elements instead")
-        el = self._parse(text.strip())
+        el = parse_scalar(text.strip(), self.source)
         if el not in self.index:
             raise ValueError(f"{text!r} is not an element of {self.label}")
         return el
@@ -196,75 +229,91 @@ class FiniteCommRing:
         return f"<{self.label}, {self.size} elements>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealFin:
-    """Ideal of a finite commutative ring, carried as its full element set."""
+    """Ideal of a finite commutative ring, as a bitmask over element indices.
+
+    Bit i stands for `ring.elements[i]`: meet is `&`, containment is
+    `a & ~b == 0`, and the canonical element order is bit order.  `gens` are
+    the generators it was made from, as element payloads.
+    """
 
     ring: FiniteCommRing
-    elements: frozenset
+    mask: int
     gens: tuple
 
+    @cached_property
+    def elements(self) -> frozenset:
+        return frozenset(self.sorted_elements())
+
     def __contains__(self, a):
-        return a in self.elements
+        i = self.ring.index.get(a)
+        return i is not None and bool(self.mask >> i & 1)
 
     def __le__(self, other):
-        return self.elements <= other.elements
+        return self.mask & ~other.mask == 0
 
     def is_whole(self) -> bool:
-        return len(self.elements) == self.ring.size
+        return self.mask == self.ring.full
 
     def sorted_elements(self):
-        return sorted(self.elements, key=self.ring.index.__getitem__)
+        els = self.ring.elements
+        return [els[i] for i in _bits(self.mask)]
 
     def short(self) -> str:
         return "<" + ",".join(self.ring.format(g) for g in self.gens) + ">"
 
     def __eq__(self, other):
-        return isinstance(other, IdealFin) and self.elements == other.elements
+        return isinstance(other, IdealFin) and self.ring is other.ring and self.mask == other.mask
 
     def __hash__(self):
-        return hash(self.elements)
+        return hash(self.mask)
 
     def __repr__(self):
         els = ", ".join(self.ring.format(a) for a in self.sorted_elements())
         return "{" + els + "}"
 
 
+def _sum(ring: FiniteCommRing, I: int, J: int) -> int:
+    """I + J for ideal masks: the cosets of I through the members of J."""
+    A = ring.add_table
+    members = _bits(I)
+    out = I
+    for b in _bits(J):
+        if not out >> b & 1:  # out is a union of cosets of I, so b's coset is new
+            row = A[b]
+            for a in members:
+                out |= 1 << row[a]
+    return out
+
+
+def _ideal(ring: FiniteCommRing, gens: int) -> int:
+    """Mask of the ideal generated by a mask: the sum of the principal ideals."""
+    out = 1 << ring.zero_i
+    for g in _bits(gens):
+        if not out >> g & 1:
+            out = _sum(ring, out, ring.principal[g])
+    return out
+
+
+def _radical(ring: FiniteCommRing, gens: int) -> int:
+    """D of a mask: the meet of the primes that contain it (the whole ring if none)."""
+    out = ring.full
+    for P in enumerate_primes(ring):
+        if gens & ~P.mask == 0:
+            out &= P.mask
+    return out
+
+
+def _canonical(mask: int):
+    """Sort key of ideals: by size, then by their elements in canonical order."""
+    return mask.bit_count(), _bits(mask)
+
+
 def ideal_generated(gens, ring: FiniteCommRing) -> IdealFin:
-    """Smallest ideal containing the generators, by closure iteration."""
+    """Smallest ideal containing the generators."""
     gens = tuple(gens)
-    current = {ring.zero}
-    for g in gens:
-        for r in ring.elements:
-            current.add(ring.mul(r, g))
-    while True:
-        fresh = set()
-        cur = list(current)
-        for a in cur:
-            for b in cur:
-                s = ring.add(a, b)
-                if s not in current:
-                    fresh.add(s)
-        if not fresh:
-            break
-        current |= fresh
-        # re-close under ring multiples of the new sums
-        more = set()
-        for a in list(current):
-            for r in ring.elements:
-                v = ring.mul(r, a)
-                if v not in current:
-                    more.add(v)
-        current |= more
-    return IdealFin(ring, frozenset(current), gens)
-
-
-def _ideal_cache(ring: FiniteCommRing) -> dict:
-    cache = getattr(ring, "_zar_cache", None)
-    if cache is None:
-        cache = {}
-        ring._zar_cache = cache
-    return cache
+    return IdealFin(ring, _ideal(ring, ring.mask_of(gens)), gens)
 
 
 def all_ideals(ring: FiniteCommRing) -> list[IdealFin]:
@@ -273,89 +322,56 @@ def all_ideals(ring: FiniteCommRing) -> list[IdealFin]:
     Each ideal is a finite sum of principal ideals of its own elements, so
     closing the principal ideals under pairwise ideal sums reaches them all.
     """
-    cache = _ideal_cache(ring)
-    if "ideals" in cache:
-        return cache["ideals"]
-    principal = {}
-    for a in ring.elements:
-        I = ideal_generated((a,), ring)
-        principal.setdefault(I.elements, I)
-    pool = dict(principal)
-    frontier = list(principal.values())
-    while frontier:
-        nxt = []
-        for I in frontier:
-            for J in list(principal.values()):
-                s = frozenset(
-                    ring.add(x, y) for x in I.elements for y in J.elements
-                )
-                if s not in pool:
-                    K = IdealFin(ring, s, tuple(I.gens) + tuple(J.gens))
-                    pool[s] = K
-                    nxt.append(K)
-        frontier = nxt
-    out = sorted(
-        pool.values(),
-        key=lambda I: (len(I.elements), [ring.index[a] for a in I.sorted_elements()]),
-    )
-    cache["ideals"] = out
-    return out
+    if ring._ideals is None:
+        principal = {}
+        for a, m in zip(ring.elements, ring.principal):
+            principal.setdefault(m, IdealFin(ring, m, (a,)))
+        pool = dict(principal)
+        frontier = list(principal.values())
+        while frontier:
+            nxt = []
+            for I in frontier:
+                for J in principal.values():
+                    s = _sum(ring, I.mask, J.mask)
+                    if s not in pool:
+                        pool[s] = K = IdealFin(ring, s, I.gens + J.gens)
+                        nxt.append(K)
+            frontier = nxt
+        ring._ideals = sorted(pool.values(), key=lambda I: _canonical(I.mask))
+    return ring._ideals
 
 
 def enumerate_primes(ring: FiniteCommRing) -> list[IdealFin]:
     """All proper ideals P with xy in P implying x in P or y in P."""
-    cache = _ideal_cache(ring)
-    if "primes" in cache:
-        return cache["primes"]
-    primes = []
-    for I in all_ideals(ring):
-        if I.is_whole():
-            continue
-        outside = [a for a in ring.elements if a not in I.elements]
-        is_prime = True
-        for x in outside:
-            for y in outside:
-                if ring.mul(x, y) in I.elements:
-                    is_prime = False
-                    break
-            if not is_prime:
-                break
-        if is_prime:
-            primes.append(I)
-    cache["primes"] = primes
-    return primes
+    if ring._primes is None:
+        M = ring.mul_table
+        primes = []
+        for I in all_ideals(ring):
+            if I.is_whole():
+                continue
+            outside = _bits(ring.full & ~I.mask)
+            if not any(I.mask >> M[x][y] & 1 for x in outside for y in outside):
+                primes.append(I)
+        ring._primes = primes
+    return ring._primes
 
 
 def zariski_D(gens, ring: FiniteCommRing) -> IdealFin:
     """Intersection of the primes containing the generators (whole ring if none)."""
     gens = tuple(gens)
-    gen_set = set(gens)
-    containing = [P for P in enumerate_primes(ring) if gen_set <= P.elements]
-    if not containing:
-        return IdealFin(ring, frozenset(ring.elements), gens)
-    acc = set(containing[0].elements)
-    for P in containing[1:]:
-        acc &= P.elements
-    return IdealFin(ring, frozenset(acc), gens)
+    return IdealFin(ring, _radical(ring, ring.mask_of(gens)), gens)
 
 
-def rad_zero(ring: FiniteCommRing) -> IdealFin:
-    return zariski_D((), ring)
-
-
-def colon_to_radzero(v, ring: FiniteCommRing) -> frozenset:
-    """{x : v x lies in D(0)} (the commutative quotient by the principal ideal)."""
-    d0 = rad_zero(ring).elements
-    return frozenset(x for x in ring.elements if ring.mul(v, x) in d0)
+def colon_to_radzero(v: int, ring: FiniteCommRing) -> int:
+    """Mask of {x : v x lies in D(0)}, v an element index (D(0) : <v>)."""
+    d0 = _radical(ring, 0)
+    return _mask(x for x, vx in enumerate(ring.mul_table[v]) if d0 >> vx & 1)
 
 
 def boundary_ideal(v, ring: FiniteCommRing) -> IdealFin:
     """<v> plus everything that multiplies v into D(0)."""
-    pv = ideal_generated((v,), ring)
-    col = colon_to_radzero(v, ring)
-    # elementwise sum of two ideals is closed: no extra closure pass needed
-    total = {ring.add(x, y) for x in col for y in pv.elements}
-    return IdealFin(ring, frozenset(total), (v,))
+    i = ring.index[v]
+    return IdealFin(ring, _sum(ring, colon_to_radzero(i, ring), ring.principal[i]), (v,))
 
 
 def check_boundary_condition(ring: FiniteCommRing) -> dict:
@@ -372,38 +388,22 @@ def check_boundary_condition(ring: FiniteCommRing) -> dict:
 # -- lattice laws -----------------------------------------------------------------
 
 
-def _zar_elements(ring: FiniteCommRing) -> list[IdealFin]:
-    cache = _ideal_cache(ring)
-    if "zar" not in cache:
-        seen = {}
-        for I in all_ideals(ring):
-            D = zariski_D(tuple(I.sorted_elements()), ring)
-            seen.setdefault(D.elements, D)
-        cache["zar"] = sorted(
-            seen.values(), key=lambda I: (len(I.elements), [ring.index[a] for a in I.sorted_elements()])
-        )
-    return cache["zar"]
+def _zar_elements(ring: FiniteCommRing) -> list[int]:
+    """The distinct D-values of all ideals, as masks in canonical order."""
+    if ring._zar is None:
+        ring._zar = sorted({_radical(ring, I.mask) for I in all_ideals(ring)}, key=_canonical)
+    return ring._zar
 
 
-def _join(ring, Z1: IdealFin, Z2: IdealFin) -> IdealFin:
-    return zariski_D(tuple(Z1.elements | Z2.elements), ring)
-
-
-def _meet(Z1: IdealFin, Z2: IdealFin, ring) -> IdealFin:
-    return IdealFin(ring, Z1.elements & Z2.elements, Z1.gens + Z2.gens)
-
-
-def _ideal_product(I: IdealFin, J: IdealFin, ring) -> IdealFin:
-    prods = {ring.mul(a, b) for a in I.elements for b in J.elements}
-    return ideal_generated(tuple(sorted(prods, key=ring.index.__getitem__)), ring)
-
-
-def _ideal_sum(I: IdealFin, J: IdealFin, ring) -> IdealFin:
-    return IdealFin(
-        ring,
-        frozenset(ring.add(a, b) for a in I.elements for b in J.elements),
-        I.gens + J.gens,
-    )
+def _ideal_product(ring: FiniteCommRing, I: int, J: int) -> int:
+    M = ring.mul_table
+    right = _bits(J)
+    prods = 0
+    for a in _bits(I):
+        row = M[a]
+        for b in right:
+            prods |= 1 << row[b]
+    return _ideal(ring, prods)
 
 
 def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int = 9) -> dict:
@@ -411,14 +411,18 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
 
     `exhaustive` settles every law over all ideals/elements; the
     generators-vs-ideal law enumerates every subset only for rings with at
-    most 16 elements and falls back to seeded sampling above that.
+    most 16 elements and falls back to seeded sampling above that.  Ideals
+    and D-values are compared as masks; elements are indices.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
+    els, n = ring.elements, ring.size
+    A, M = ring.add_table, ring.mul_table
     ideals = all_ideals(ring)
-    rad = rad_zero(ring)
-    whole = frozenset(ring.elements)
+
+    def D(mask):
+        return _radical(ring, mask)
+
+    rad = D(0)
     results = []
 
     def law(name, cases, failures):
@@ -429,59 +433,51 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     sampled = mode != "exhaustive"
     if sampled:
         ideals_used = [rng.choice(ideals) for _ in range(min(len(ideals), 6))]
-        elements_used = [rng.choice(ring.elements) for _ in range(min(ring.size, 12))]
+        elements_used = [rng.randrange(n) for _ in range(min(n, 12))]
     else:
         ideals_used = ideals
-        elements_used = list(ring.elements)
+        elements_used = range(n)
 
     # (i) D of a generating set equals D of the ideal it generates
     fails, cases = [], 0
-    if ring.size <= _SUBSET_LIMIT and not sampled:
-        subsets = []
-        els = list(ring.elements)
-        for mask in range(1 << len(els)):
-            subsets.append(tuple(els[i] for i in range(len(els)) if mask >> i & 1))
+    if n <= _SUBSET_LIMIT and not sampled:
+        subsets = range(1 << n)
     else:
-        subsets = [
-            tuple(rng.sample(list(ring.elements), rng.randint(0, min(3, ring.size))))
-            for _ in range(400)
-        ]
+        subsets = [_mask(rng.sample(range(n), rng.randint(0, min(3, n)))) for _ in range(400)]
     for X in subsets:
         cases += 1
-        if zariski_D(X, ring) != zariski_D(ideal_generated(X, ring).sorted_elements(), ring):
-            fails.append(repr(X))
+        if D(X) != D(_ideal(ring, X)):
+            fails.append(repr(tuple(els[i] for i in _bits(X))))
     law("generating-set-vs-ideal", cases, fails)
 
     # (ii) D(I) = D(0) exactly for ideals inside D(0)
     fails = []
     for I in ideals_used:
-        inside = I.elements <= rad.elements
-        collapses = zariski_D(I.sorted_elements(), ring) == rad
-        if inside != collapses:
+        if (I.mask & ~rad == 0) != (D(I.mask) == rad):
             fails.append(I.short())
     law("radical-zero-characterization", len(ideals_used), fails)
 
     # (iii) D(I) is everything exactly for the unit ideal
     fails = []
     for I in ideals_used:
-        if (zariski_D(I.sorted_elements(), ring).elements == whole) != I.is_whole():
+        if (D(I.mask) == ring.full) != I.is_whole():
             fails.append(I.short())
     law("unit-ideal-detection", len(ideals_used), fails)
 
     # (iv) closure operator: extensive, idempotent, monotone
     fails, cases = [], 0
-    dvals = {I: zariski_D(I.sorted_elements(), ring) for I in ideals}
+    dvals = {I.mask: D(I.mask) for I in ideals}
     for I in ideals_used:
         cases += 1
-        D = dvals[I]
-        if not I.elements <= D.elements:
+        d = dvals[I.mask]
+        if I.mask & ~d:
             fails.append(f"not extensive at {I.short()}")
-        if zariski_D(D.sorted_elements(), ring) != D:
+        if D(d) != d:
             fails.append(f"not idempotent at {I.short()}")
     for I in ideals_used:
         for J in ideals_used:
             cases += 1
-            if I.elements <= J.elements and not dvals[I].elements <= dvals[J].elements:
+            if I.mask & ~J.mask == 0 and dvals[I.mask] & ~dvals[J.mask]:
                 fails.append(f"not monotone at {I.short()},{J.short()}")
     law("closure-operator", cases, fails)
 
@@ -491,20 +487,20 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     for I in ideals_used:
         for J in ideals_used:
             cases += 1
-            DIJ = zariski_D(_ideal_sum(I, J, ring).sorted_elements(), ring)
-            if not (dvals[I].elements <= DIJ.elements and dvals[J].elements <= DIJ.elements):
+            both = dvals[I.mask] | dvals[J.mask]
+            dij = D(_sum(ring, I.mask, J.mask))
+            if both & ~dij:
                 fails.append(f"{I.short()}+{J.short()} not an upper bound")
                 continue
             for Z in zar:
-                if dvals[I].elements <= Z.elements and dvals[J].elements <= Z.elements:
-                    if not DIJ.elements <= Z.elements:
-                        fails.append(f"{I.short()}+{J.short()} not least")
-                        break
+                if both & ~Z == 0 and dij & ~Z:
+                    fails.append(f"{I.short()}+{J.short()} not least")
+                    break
     for x in elements_used:
         for y in elements_used:
             cases += 1
-            if zariski_D((x, y), ring) != _join(ring, zariski_D((x,), ring), zariski_D((y,), ring)):
-                fails.append(f"join of D({x!r}),D({y!r})")
+            if D(1 << x | 1 << y) != D(D(1 << x) | D(1 << y)):
+                fails.append(f"join of D({els[x]!r}),D({els[y]!r})")
     law("sum-is-join", cases, fails)
 
     # (vi) D(I J) is the meet (set intersection)
@@ -512,8 +508,7 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     for I in ideals_used:
         for J in ideals_used:
             cases += 1
-            DIJ = zariski_D(_ideal_product(I, J, ring).sorted_elements(), ring)
-            if DIJ.elements != (dvals[I].elements & dvals[J].elements):
+            if D(_ideal_product(ring, I.mask, J.mask)) != dvals[I.mask] & dvals[J.mask]:
                 fails.append(f"{I.short()}*{J.short()}")
     law("product-is-meet", cases, fails)
 
@@ -522,30 +517,29 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     for x in elements_used:
         for y in elements_used:
             cases += 1
-            if not zariski_D((ring.add(x, y),), ring).elements <= zariski_D((x, y), ring).elements:
-                fails.append(f"({x!r},{y!r})")
+            if D(1 << A[x][y]) & ~D(1 << x | 1 << y):
+                fails.append(f"({els[x]!r},{els[y]!r})")
     law("sum-inside-pair", cases, fails)
 
-    # (viii) equality when the product of the two principals lies in D(0)
+    # (viii) equality when the product of the two principals lies in D(0);
+    # <x><y> = <xy>, so that is xy in D(0)
     fails, cases = [], 0
     for x in elements_used:
         for y in elements_used:
-            px = ideal_generated((x,), ring)
-            py = ideal_generated((y,), ring)
-            if all(ring.mul(a, b) in rad.elements for a in px.elements for b in py.elements):
+            if rad >> M[x][y] & 1:
                 cases += 1
-                if zariski_D((x, y), ring) != zariski_D((ring.add(x, y),), ring):
-                    fails.append(f"({x!r},{y!r})")
+                if D(1 << x | 1 << y) != D(1 << A[x][y]):
+                    fails.append(f"({els[x]!r},{els[y]!r})")
     law("orthogonal-sum-equality", cases, fails)
 
     # (ix) members of D(I) are absorbed
     fails, cases = [], 0
     for I in ideals_used:
-        D = dvals[I]
-        for x in D.sorted_elements():
+        d = dvals[I.mask]
+        for x in _bits(d):
             cases += 1
-            if zariski_D(tuple(I.sorted_elements()) + (x,), ring) != D:
-                fails.append(f"{I.short()} absorb {x!r}")
+            if D(I.mask | 1 << x) != d:
+                fails.append(f"{I.short()} absorb {els[x]!r}")
                 break
     law("member-absorption", cases, fails)
 
@@ -553,27 +547,25 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     fails, cases = [], 0
     for I in ideals_used:
         Q, rep = ring.quotient_by(I)
+        to_q = [Q.index[rep[a]] for a in els]
         for J in ideals_used:
-            if not I.elements <= J.elements:
+            if I.mask & ~J.mask:
                 continue
             cases += 1
-            DJ = zariski_D(J.sorted_elements(), ring)
-            pushed = frozenset(rep[a] for a in DJ.elements)
-            DbarJ = zariski_D(sorted({rep[a] for a in J.elements}, key=Q.index.__getitem__), Q)
-            if pushed != DbarJ.elements:
+            pushed = _mask(to_q[a] for a in _bits(dvals[J.mask]))
+            if pushed != _radical(Q, _mask(to_q[a] for a in _bits(J.mask))):
                 fails.append(f"{I.short()} then {J.short()}")
     law("quotient-compatibility", cases, fails)
 
     # (xi) membership in D(I) means a power lands in I
     fails, cases = [], 0
     for I in ideals_used:
-        D = dvals[I]
+        d = dvals[I.mask]
         for u in elements_used:
             cases += 1
-            member = u in D.elements
-            k = _nilpotency_exponent(u, I, ring)
-            if member != (k is not None):
-                fails.append(f"{I.short()} vs {u!r}")
+            member = bool(d >> u & 1)
+            if member != (_nilpotency_exponent(u, I.mask, ring) is not None):
+                fails.append(f"{I.short()} vs {els[u]!r}")
     law("radical-membership-power", cases, fails)
 
     # (xii) distributivity of the lattice of D-values
@@ -583,16 +575,10 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
         for Z2 in zar_used:
             for Z3 in zar_used:
                 cases += 1
-                lhs = _meet(Z1, _join(ring, Z2, Z3), ring)
-                rhs = _join(ring, _meet(Z1, Z2, ring), _meet(Z1, Z3, ring))
-                if lhs.elements != rhs.elements:
+                if Z1 & D(Z2 | Z3) != D((Z1 & Z2) | (Z1 & Z3)):
                     fails.append("meet-over-join")
                     continue
-                lhs2 = _join(ring, Z1, _meet(Z2, Z3, ring))
-                rhs2 = _meet(
-                    _join(ring, Z1, Z2), _join(ring, Z1, Z3), ring
-                )
-                if lhs2.elements != rhs2.elements:
+                if D(Z1 | (Z2 & Z3)) != D(Z1 | Z2) & D(Z1 | Z3):
                     fails.append("join-over-meet")
     law("distributivity", cases, fails)
 
@@ -604,21 +590,23 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     }
 
 
-def _nilpotency_exponent(u, I: IdealFin, ring: FiniteCommRing):
-    """Smallest k >= 1 with u^k in I, or None; powers cycle within ring.size steps."""
+def _nilpotency_exponent(u: int, ideal: int, ring: FiniteCommRing):
+    """Smallest k >= 1 with u^k in the ideal mask, or None; powers cycle within ring.size steps."""
+    row = ring.mul_table[u]
     acc = u
     for k in range(1, ring.size + 2):
-        if acc in I.elements:
+        if ideal >> acc & 1:
             return k
-        acc = ring.mul(acc, u)
+        acc = row[acc]
     return None
 
 
 def radical_membership_finite(a, gens, ring: FiniteCommRing):
-    I = ideal_generated(tuple(gens), ring)
-    if a not in zariski_D(tuple(gens), ring).elements:
+    gens = ring.mask_of(gens)
+    i = ring.index[a]
+    if not _radical(ring, gens) >> i & 1:
         return False, None
-    return True, _nilpotency_exponent(a, I, ring)
+    return True, _nilpotency_exponent(i, _ideal(ring, gens), ring)
 
 
 # -- Kronecker reduction, finite backend -------------------------------------------
@@ -638,32 +626,36 @@ def kronecker_reduce_dim0(u1, u, ring: FiniteCommRing) -> KroneckerCertificate:
     1 = a u1 + x1 with x1 in (D(0) : <u1>); an exhaustive scan backs it up
     should verification ever fail.
     """
-    target = zariski_D((u1, u), ring)
     if u == ring.zero:
         # any shift works; keep the canonical zero certificate
         return KroneckerCertificate((ring.zero,), True, False)
-    col = colon_to_radzero(u1, ring)
-    pv = ideal_generated((u1,), ring).elements
-    pick = None
-    for x1 in sorted(col, key=ring.index.__getitem__):
-        if ring.sub(ring.one, x1) in pv:
-            pick = x1
-            break
-    if pick is not None and zariski_D((ring.add(u1, ring.mul(pick, u)),), ring) == target:
-        return KroneckerCertificate((pick,), True, False)
-    for x1 in ring.elements:
-        if zariski_D((ring.add(u1, ring.mul(x1, u)),), ring) == target:
-            return KroneckerCertificate((x1,), False, True)
+    A, M = ring.add_table, ring.mul_table
+    i1, iu = ring.index[u1], ring.index[u]
+    target = _radical(ring, 1 << i1 | 1 << iu)
+    pv = ring.principal[i1]
+    one_minus = A[ring.one_i]
+    pick = next(
+        (x for x in _bits(colon_to_radzero(i1, ring)) if pv >> one_minus[ring.neg_table[x]] & 1),
+        None,
+    )
+    if pick is not None and _radical(ring, 1 << A[i1][M[pick][iu]]) == target:
+        return KroneckerCertificate((ring.elements[pick],), True, False)
+    for x in range(ring.size):
+        if _radical(ring, 1 << A[i1][M[x][iu]]) == target:
+            return KroneckerCertificate((ring.elements[x],), False, True)
     raise PreconditionFailed("no reduction exists; the ring violates the dimension-zero case")
 
 
 def _kronecker_finite(us, u, ring: FiniteCommRing):
     us = tuple(us)
-    target = zariski_D(us + (u,), ring)
-    for xs in itertools.product(ring.elements, repeat=len(us)):
-        shifted = tuple(ring.add(ui, ring.mul(xi, u)) for ui, xi in zip(us, xs))
-        if zariski_D(shifted, ring) == target:
-            return xs
+    A, M = ring.add_table, ring.mul_table
+    starts = [ring.index[a] for a in us]
+    iu = ring.index[u]
+    target = _radical(ring, ring.mask_of(us + (u,)))
+    for xs in itertools.product(range(ring.size), repeat=len(us)):
+        shifted = _mask(A[ui][M[xi][iu]] for ui, xi in zip(starts, xs))
+        if _radical(ring, shifted) == target:
+            return tuple(ring.elements[x] for x in xs)
     raise PreconditionFailed("exhausted the ring without a verifying shift tuple")
 
 
@@ -696,8 +688,6 @@ class FptBackend:
         self.ring = PolynomialRing(PrimeField(p), "t")
 
     def parse(self, text: str):
-        from .parsing import parse_scalar
-
         return parse_scalar(text, self.ring)
 
     def format(self, a) -> str:
@@ -869,7 +859,7 @@ def radical_membership(a, gens, backend):
 
 
 def parse_ring_spec(text: str) -> FiniteCommRing:
-    """Zmod:n | Fp:p | quot:F<p>:poly | prod:spec*spec (also with 'x' as separator)."""
+    """Zmod:n | Fp:p | quot:F<p>:poly | prod:spec*spec (also with '×', U+00D7, as separator)."""
     text = text.strip()
     if text.startswith("prod:"):
         body = text[len("prod:"):]
@@ -890,9 +880,9 @@ def parse_ring_spec(text: str) -> FiniteCommRing:
             p, poly_text = int(parts[1][1:]), parts[2]
         else:
             raise ValueError("quotient spec looks like quot:F2:x^3")
-        from .parsing import parse_scalar, tokenize
-
-        gen = next(t.text for t in tokenize(poly_text) if t.kind == "name")
+        gen = next((t.text for t in tokenize(poly_text) if t.kind == "name"), None)
+        if gen is None:
+            raise ValueError(f"quotient modulus {poly_text!r} names no variable, as in quot:F2:x^3")
         modulus = parse_scalar(poly_text, PolynomialRing(PrimeField(p), gen))
         return FiniteCommRing.quotient_poly(p, modulus, gen)
     raise ValueError(f"cannot parse ring spec {text!r}")

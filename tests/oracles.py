@@ -173,3 +173,26 @@ def pgcd_many(polys, p):
     for a in polys:
         g = pgcd(g, a, p)
     return g
+
+
+def radical_by_powers(elements, add, mul, zero, gens):
+    """D(gens) of a finite commutative ring as {a : a^k in <gens> for some k}.
+
+    Works on the raw `add`/`mul` callables: the ideal is the additive closure
+    of all ring multiples of the generators, and powers of each element are
+    followed until they repeat.  No prime is enumerated.
+    """
+    ideal = {zero}
+    frontier = {mul(r, g) for g in gens for r in elements} - ideal
+    while frontier:
+        ideal |= frontier
+        frontier = {add(a, b) for a in frontier for b in ideal} - ideal
+    out = set()
+    for a in elements:
+        seen, acc = set(), a
+        while acc not in ideal and acc not in seen:
+            seen.add(acc)
+            acc = mul(acc, a)
+        if acc in ideal:
+            out.add(a)
+    return frozenset(out)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewpbw
 from skewpbw.cli import dispatch
 from skewpbw.matrices import random_invertible
 from skewpbw.catalog import build
@@ -90,6 +95,19 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "normalize", "--algebra", "nope", "x")
     assert code == 2 and "nope" in err
+
+
+@pytest.mark.parametrize(
+    "spec", ["Zmod:1000", "prod:Zmod:30*Zmod:30", "quot:F2:x^9", "quot:F2:1"]
+)
+def test_bad_ring_spec_exit_2_without_traceback(spec):
+    env = dict(os.environ, PYTHONPATH=str(Path(skewpbw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewpbw.cli", "zariski", "primes", "--ring", spec],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_catalog_list_and_show(capsys):

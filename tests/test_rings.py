@@ -26,6 +26,18 @@ def test_residue_arithmetic():
     assert Z12.neg(0) == 0
 
 
+def test_prime_field_is_a_residue_ring():
+    assert ResidueRing(7).is_field and ResidueRing(7).is_domain
+    assert not ResidueRing(12).is_field and not ResidueRing(12).is_domain
+    with pytest.raises(ValueError):
+        PrimeField(4)
+    F7, Z7 = PrimeField(7), ResidueRing(7)
+    assert F7 != Z7
+    assert F7.descriptor() == ("prime-field", 7) and F7.describe() == "F_7"
+    assert Z7.descriptor() == ("residue", 7) and Z7.describe() == "Z/7"
+    assert F7.kind == "prime-field" and Z7.kind == "residue"
+
+
 def test_unit_witnesses():
     F11 = PrimeField(11)
     w = F11.unit_inverse(7)

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
-from oracles import pgcd_many, same_radical
+from oracles import pgcd_many, radical_by_powers, same_radical
 
-from skewpbw.errors import InvalidRing, NotFoundWithinBound, PreconditionFailed
+from skewpbw.errors import InvalidRing, NotFoundWithinBound, PreconditionFailed, RingTooLarge
+from skewpbw.rings import PrimeField, ResidueRing
+from skewpbw.suites import TEST_RINGS
 from skewpbw.zariski import (
     FiniteCommRing,
     FptBackend,
@@ -211,6 +213,15 @@ def test_ring_spec_parsing():
     assert parse_backend_spec("fpt:5").p == 5
     with pytest.raises(ValueError):
         parse_ring_spec("what:3")
+    with pytest.raises(ValueError, match="no variable"):
+        parse_ring_spec("quot:F2:1")
+
+
+def test_ring_size_limit():
+    assert parse_ring_spec("Zmod:256").size == 256
+    for spec in ("Zmod:257", "quot:F2:x^9", "prod:Zmod:16*Zmod:17"):
+        with pytest.raises(RingTooLarge):
+            parse_ring_spec(spec)
 
 
 def test_quotient_compat_spot_check(Z12):
@@ -241,3 +252,31 @@ def test_subset_law_exhaustive_small():
         assert zariski_D(X, ring) == zariski_D(
             tuple(ideal_generated(X, ring).sorted_elements()), ring
         )
+
+
+def _raw_ops(ring):
+    """add, mul and zero of a test ring, straight from its source rings."""
+    if ring.source is not None:
+        return ring.source.add, ring.source.mul, ring.source.zero
+    left, right = ResidueRing(4), PrimeField(3)
+    return (
+        lambda x, y: (left.add(x[0], y[0]), right.add(x[1], y[1])),
+        lambda x, y: (left.mul(x[0], y[0]), right.mul(x[1], y[1])),
+        (0, 0),
+    )
+
+
+ORACLE_RINGS = TEST_RINGS + (("prod:Zmod:4*Fp:3", lambda: parse_ring_spec("prod:Zmod:4*Fp:3")),)
+
+
+@pytest.mark.parametrize("label,make", ORACLE_RINGS, ids=[label for label, _ in ORACLE_RINGS])
+def test_zariski_D_matches_power_oracle(label, make):
+    ring = make()
+    add, mul, zero = _raw_ops(ring)
+    els = ring.elements
+    gen_sets = [()] + [(a,) for a in els] + list(itertools.combinations(els, 2))
+    for gens in gen_sets:
+        want = radical_by_powers(els, add, mul, zero, gens)
+        assert zariski_D(gens, ring).elements == want, gens
+    nilradical = radical_by_powers(els, add, mul, zero, ())
+    assert frozenset.intersection(*(P.elements for P in enumerate_primes(ring))) == nilradical
