@@ -3,9 +3,16 @@
 Entry products are noncommutative, so multiplication keeps the declared order:
 (FG)[i][k] = sum_j F[i][j] * G[j][k].  Witness searches reduce to exact linear
 algebra over the base field: the unknown coefficients of a candidate inverse
-enter the product linearly once each basis product u_i * x^beta is normalized,
-and the resulting system is solved by fraction-free Gaussian elimination over
-the field.
+enter the product linearly once each basis product u_i * x^beta (or
+x^beta * u_i) is normalized, and the resulting system is solved by
+Gauss-Jordan elimination with field inverses, on ints mod p over F_p and on
+Fractions over Q.
+
+Left products x^beta * u are built along the graded basis as a chain,
+x^beta u = x_i (x^(beta - e_i) u) with x_i the first variable of x^beta, so
+each costs one variable step; right products go through the full product.
+The stable-reduction search normalizes the products it needs once per search
+and builds every candidate's system from them by scalar combinations.
 
 A failed search means "no witness within the degree bound", never "the input
 is not unimodular"; nothing here bounds witness degrees a priori.
@@ -22,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, PreconditionFailed, UnsupportedCoefficientRing
-from .pbw import Presentation, SkewPoly, monomials_up_to
+from .pbw import Presentation, SkewPoly, bump, monomials_up_to
 from .rings import PrimeField, Rationals
 
 
@@ -138,34 +145,62 @@ def _solver_field(pres: Presentation):
 def solve_linear(field, rows: list[list], rhs: list):
     """One exact solution of rows * y = rhs over a field, or None.
 
-    Free variables are set to zero, so the output is canonical.
+    Gauss-Jordan elimination: columns are taken left to right, each pivots on
+    the first remaining row where it is nonzero, and free variables are set
+    to zero, so the output is canonical.  Over F_p the entries are ints
+    reduced by `% p`; over Q they are Fractions.
     """
+    p = None if isinstance(field, Rationals) else field.p
     m = [list(r) + [b] for r, b in zip(rows, rhs)]
     nrows, ncols = len(m), (len(rows[0]) if rows else 0)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != field.zero), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, v) for v in m[r]]
+        # rows from r on are zero left of column c, so only the tail changes
+        lead = m[r][c]
+        if p is None:
+            piv = [v / lead for v in m[r][c:]]
+        else:
+            inv = pow(lead, -1, p)
+            piv = [v * inv % p for v in m[r][c:]]
+        m[r][c:] = piv
         for i in range(nrows):
-            if i != r and m[i][c] != field.zero:
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                row = m[i]
+                if p is None:
+                    row[c:] = [a - f * b for a, b in zip(row[c:], piv)]
+                else:
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], piv)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     for i in range(r, nrows):
-        if m[i][ncols] != field.zero:
+        if m[i][ncols]:
             return None
     y = [field.zero] * ncols
     for i, c in enumerate(pivots):
         y[c] = m[i][ncols]
     return y
+
+
+def _left_products(P: Presentation, basis, terms: dict) -> list[dict]:
+    """x^beta * f for each beta of a graded basis, as term dicts.
+
+    x^beta = x_i x^(beta - e_i) for the first variable x_i of x^beta, and a
+    graded basis lists beta - e_i before beta, so each product is one
+    variable step from an earlier one.
+    """
+    done = {}
+    for beta in basis:
+        i = next((k for k, e in enumerate(beta) if e), None)
+        done[beta] = terms if i is None else P._lmul_var_dict(i, done[bump(beta, i, -1)])
+    return [done[beta] for beta in basis]
 
 
 def _witness_search(entries, degree_bound: int, side: str):
@@ -174,17 +209,15 @@ def _witness_search(entries, degree_bound: int, side: str):
     P = entries[0].pres
     field = _solver_field(P)
     basis = monomials_up_to(P.n, degree_bound)
-    products = []
-    for u in entries:
-        for beta in basis:
-            mono = P.monomial(beta)
-            prod = u * mono if side == "right" else mono * u
-            products.append(prod)
-    support = sorted({m for f in products for m in f.terms}, key=lambda m: (sum(m), m))
+    if side == "right":
+        products = [(u * P.monomial(beta)).terms for u in entries for beta in basis]
+    else:
+        products = [f for u in entries for f in _left_products(P, basis, u.terms)]
+    support = sorted({m for f in products for m in f}, key=lambda m: (sum(m), m))
     target = (0,) * P.n
     if target not in support:
         support.append(target)
-    rows = [[f.terms.get(m, field.zero) for f in products] for m in support]
+    rows = [[f.get(m, field.zero) for f in products] for m in support]
     rhs = [field.one if m == target else field.zero for m in support]
     y = solve_linear(field, rows, rhs)
     if y is None:
@@ -254,20 +287,90 @@ def iter_polys(P: Presentation, degree_bound: int):
 
 
 def search_stable_reduction(col_entries, a_degree_bound: int, witness_degree_bound: int):
-    """First shift tuple (by degree stages, then enumeration order) that reduces v."""
+    """First shift tuple (by degree stages, then enumeration order) that reduces v.
+
+    A candidate (a_1, ..., a_{r-1}) reduces v when `stable_reduce_check`
+    accepts it: the system that `find_left_inverse_column` solves for
+    v' = (v_i + a_i v_r)_{i<r} is consistent.  Over the solver field (F_p or
+    Q) every sigma is the identity and every delta zero (EndoSpec and
+    DerivationSpec admit nothing else on a field), so scalars are central,
+    and for a_i = sum_gamma s_gamma x^gamma
+
+        x^beta (v_i + a_i v_r) = x^beta v_i + sum_gamma s_gamma x^beta (x^gamma v_r).
+
+    The products x^beta v_i and x^beta (x^gamma v_r), for gamma up to the
+    a-bound, are normalized once per search as dense vectors over one sorted
+    support; each candidate's columns are scalar combinations of them.  The
+    union support orders the rows differently from a single check and adds
+    all-zero rows.  Neither changes whether the system is consistent, nor its
+    solution with free variables zero, since the reduced row echelon form is
+    unique; so the first reducing tuple is the one single checks would find.
+    """
     col_entries = list(col_entries)
     P = col_entries[0].pres
     r = len(col_entries)
     if r < 2:
         raise PreconditionFailed("need a column of length >= 2")
+    table = None
     for stage in range(a_degree_bound + 1):
         candidates = list(iter_polys(P, stage))
-        for shifts in itertools.product(candidates, repeat=r - 1):
-            if stage > 0 and all(s.degree() < stage for s in shifts):
+        if table is None:  # built once iter_polys has rejected non-field coefficients
+            table = _ShiftedColumns(col_entries, a_degree_bound, witness_degree_bound)
+        degrees = [s.degree() for s in candidates]
+        blocks = {}
+        for ks in itertools.product(range(len(candidates)), repeat=r - 1):
+            if stage > 0 and all(degrees[k] < stage for k in ks):
                 continue  # already tried at an earlier stage
-            if stable_reduce_check(col_entries, shifts, witness_degree_bound):
-                return tuple(shifts)
+            columns = []
+            for i, k in enumerate(ks):
+                if (i, k) not in blocks:
+                    blocks[i, k] = table.shifted(i, candidates[k])
+                columns += blocks[i, k]
+            rows = list(zip(*columns)) or [()] * len(table.rhs)  # no columns, no witness
+            if solve_linear(table.field, rows, table.rhs) is not None:
+                return tuple(candidates[k] for k in ks)
     return None
+
+
+class _ShiftedColumns:
+    """The products of one stable-reduction search, normalized once.
+
+    For v = (v_1, ..., v_r) it holds x^beta v_i (i < r) and x^beta (x^gamma v_r)
+    as dense vectors over one sorted support that contains every product and
+    the constant monomial, for beta up to the witness bound and gamma up to
+    the a-bound; `rhs` is the constant monomial's indicator vector.
+    """
+
+    def __init__(self, col_entries, a_degree_bound: int, witness_degree_bound: int):
+        *front, last = col_entries
+        P = last.pres
+        self.field = field = _solver_field(P)
+        self.p = None if isinstance(field, Rationals) else field.p
+        basis = monomials_up_to(P.n, witness_degree_bound)
+        a_basis = monomials_up_to(P.n, a_degree_bound)
+        fronts = [_left_products(P, basis, v.terms) for v in front]
+        lasts = {gamma: _left_products(P, basis, w)
+                 for gamma, w in zip(a_basis, _left_products(P, a_basis, last.terms))}
+        target = (0,) * P.n
+        support = {target}.union(*itertools.chain(*fronts, *lasts.values()))
+        support = sorted(support, key=lambda m: (sum(m), m))
+        self.rhs = [field.one if m == target else field.zero for m in support]
+
+        def dense(block):
+            return [[f.get(m, field.zero) for m in support] for f in block]
+
+        self.fronts = [dense(block) for block in fronts]
+        self.lasts = {gamma: dense(block) for gamma, block in lasts.items()}
+
+    def shifted(self, i: int, shift: SkewPoly) -> list[list]:
+        """The columns x^beta (v_i + shift * v_r), beta over the witness basis."""
+        cols = self.fronts[i]
+        for gamma, s in shift.terms.items():
+            cols = [[a + s * b for a, b in zip(col, other)]
+                    for col, other in zip(cols, self.lasts[gamma])]
+        if self.p is not None:
+            cols = [[a % self.p for a in col] for col in cols]
+        return cols
 
 
 def verify_completion(u_entries, U: PolyMatrix, Uinv: PolyMatrix) -> bool:

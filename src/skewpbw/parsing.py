@@ -38,6 +38,9 @@ from .rings import (
 
 _SYMBOLS = "+-*/^()"
 
+# degree limit of a polynomial coefficient written in an expression
+MAX_SCALAR_DEGREE = 100_000
+
 
 @dataclass(frozen=True)
 class Token:
@@ -204,9 +207,42 @@ def _eval_node(node, pres: Presentation) -> SkewPoly:
 
 
 def parse_scalar(text: str, ring: Ring, line: int = 1):
-    """Evaluate an expression that may mention only the coefficient generator."""
+    """Evaluate an expression that may mention only the coefficient generator.
+
+    Over a polynomial ring an expression whose degree may exceed
+    MAX_SCALAR_DEGREE is refused before it is evaluated.
+    """
     node = parse_expr_tree(text, line)
+    if isinstance(ring, PolynomialRing):
+        degree = degree_bound(node)
+        if degree > MAX_SCALAR_DEGREE:
+            raise ParseError(
+                f"a polynomial of degree up to {degree} exceeds the limit of {MAX_SCALAR_DEGREE}",
+                line,
+            )
     return _eval_scalar(node, ring, line)
+
+
+def degree_bound(node) -> int:
+    """An upper bound on the degree in the generator of a scalar expression tree.
+
+    A divisor must be a unit scalar, so a quotient has at most the degree of
+    its dividend.
+    """
+    op = node[0]
+    if op == "int":
+        return 0
+    if op == "name":
+        return 1
+    if op in {"neg", "div"}:
+        return degree_bound(node[1])
+    if op in {"add", "sub"}:
+        return max(degree_bound(node[1]), degree_bound(node[2]))
+    if op == "mul":
+        return degree_bound(node[1]) + degree_bound(node[2])
+    if op == "pow":
+        return degree_bound(node[1]) * node[2]
+    raise SemanticError(f"bad scalar node {op!r}")
 
 
 def _eval_scalar(node, ring: Ring, line: int):
@@ -228,10 +264,15 @@ def _eval_scalar(node, ring: Ring, line: int):
         b = _eval_scalar(node[2], ring, line)
         return ring.mul(a, ring.inv(b))
     if op == "pow":
+        # square-and-multiply: coefficient rings are commutative and associative
         a = _eval_scalar(node[1], ring, line)
-        out = ring.one
-        for _ in range(node[2]):
-            out = ring.mul(out, a)
+        out, k = ring.one, node[2]
+        while k:
+            if k & 1:
+                out = ring.mul(out, a)
+            k >>= 1
+            if k:
+                a = ring.mul(a, a)
         return out
     raise SemanticError(f"bad scalar node {op!r}")
 

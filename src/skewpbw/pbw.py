@@ -34,14 +34,6 @@ DEFAULT_SEED = 101
 Monomial = tuple  # exponent vector, length n
 
 
-def var_atom(i: int):
-    return ("v", i)
-
-
-def coeff_atom(r):
-    return ("c", r)
-
-
 class SkewPoly:
     """Element in PBW normal form: map from exponent tuples to nonzero coefficients."""
 
@@ -360,18 +352,6 @@ def monomials_up_to(n: int, degree_bound: int) -> list[Monomial]:
     for _ in range(n):
         out = [m + (e,) for m in out for e in range(degree_bound + 1 - sum(m))]
     return sorted(out, key=lambda m: (sum(m), m))
-
-
-def add(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    return f + g
-
-
-def multiply(f: SkewPoly, g: SkewPoly, pres: Presentation | None = None) -> SkewPoly:
-    return (pres or f.pres).multiply(f, g)
-
-
-def degree(f: SkewPoly):
-    return f.degree()
 
 
 def is_quasi_commutative(P: Presentation) -> bool:

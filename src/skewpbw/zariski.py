@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidRing, NotFoundWithinBound, PreconditionFailed, RingTooLarge
-from .parsing import parse_scalar, tokenize
+from .parsing import degree_bound, parse_expr_tree, parse_scalar, tokenize
 from .rings import PolynomialRing, PrimeField, QuotientRing, ResidueRing, Ring
 
 # The add and mul tables hold 2 n^2 entries; 256 elements keep them near 1 MiB.
@@ -883,7 +883,13 @@ def parse_ring_spec(text: str) -> FiniteCommRing:
         gen = next((t.text for t in tokenize(poly_text) if t.kind == "name"), None)
         if gen is None:
             raise ValueError(f"quotient modulus {poly_text!r} names no variable, as in quot:F2:x^3")
-        modulus = parse_scalar(poly_text, PolynomialRing(PrimeField(p), gen))
+        field = PrimeField(p)
+        # bounded on the tree, before a modulus such as x^99999999 is evaluated;
+        # as p >= 2, a degree of MAX_RING_SIZE.bit_length() or more is too large
+        degree = degree_bound(parse_expr_tree(poly_text))
+        if degree >= MAX_RING_SIZE.bit_length() or p ** degree > MAX_RING_SIZE:
+            raise _too_large(f"F_{p}[{gen}]/(modulus of degree up to {degree})")
+        modulus = parse_scalar(poly_text, PolynomialRing(field, gen))
         return FiniteCommRing.quotient_poly(p, modulus, gen)
     raise ValueError(f"cannot parse ring spec {text!r}")
 

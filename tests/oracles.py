@@ -8,6 +8,8 @@ between these and the package is the point of the tests.
 
 from __future__ import annotations
 
+import itertools
+
 
 def naive_normalize(P, atoms):
     """One-rule-at-a-time rewriting of a single word.
@@ -99,6 +101,36 @@ def random_word(P, rng, max_len=8):
         else:
             out.append(("c", P.ring.random_nonzero(rng)))
     return out
+
+
+# -- linear systems over F_p by enumeration ------------------------------------------
+
+
+def fp_solutions(rows, rhs, p):
+    """Every y in F_p^n with rows * y = rhs, found by trying each one."""
+    n = len(rows[0])
+    return [
+        list(y)
+        for y in itertools.product(range(p), repeat=n)
+        if all((sum(a * b for a, b in zip(row, y)) - t) % p == 0 for row, t in zip(rows, rhs))
+    ]
+
+
+def fp_free_columns(rows, p):
+    """Indices of the columns that are F_p-combinations of the columns before them.
+
+    Each column is tested against every coefficient tuple on its predecessors.
+    """
+    cols = list(zip(*rows))
+    return [
+        c
+        for c, col in enumerate(cols)
+        if any(
+            all((sum(k * prev[i] for k, prev in zip(coeffs, cols)) - col[i]) % p == 0
+                for i in range(len(col)))
+            for coeffs in itertools.product(range(p), repeat=c)
+        )
+    ]
 
 
 # -- bare-list polynomial arithmetic over F_p ---------------------------------------

@@ -110,6 +110,24 @@ def test_bad_ring_spec_exit_2_without_traceback(spec):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [(("primes", "--ring", "quot:F2:x^99999999"), 2),
+     (("D", "--ring", "quot:F2:x^3", "--gens", "x^99999999"), 0)],
+)
+def test_huge_exponents_answer_promptly(args, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(skewpbw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewpbw.cli", "zariski", *args],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: ")
+    else:  # x^99999999 = 0 in F_2[x]/(x^3), so D is the nilradical
+        assert proc.stdout.strip() == "{0, x, x^2, x^2 + x}"
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0 and "weyl" in out and "manin" in out

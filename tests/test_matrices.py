@@ -1,8 +1,9 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from oracles import pgcd, ptrim
+from oracles import fp_free_columns, fp_solutions, pgcd, ptrim
 
 from skewpbw.catalog import build
 from skewpbw.errors import DimensionMismatch, UnsupportedCoefficientRing
@@ -15,12 +16,14 @@ from skewpbw.matrices import (
     mat_multiply,
     random_invertible,
     search_stable_reduction,
+    solve_linear,
     stable_reduce_check,
     verify_completion,
     verify_completion_rect,
     verify_inverse,
 )
 from skewpbw.pbw import SkewPoly
+from skewpbw.rings import PrimeField, Rationals
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +204,64 @@ def test_solver_soundness_random(A1):
             hits += 1
             assert UnimodularCertificate(tuple(u), tuple(w), "right").verify()
     assert hits > 0
+
+
+def _shuffled_with_zero_row(rng, rows, rhs, zero):
+    order = list(range(len(rows))) + [None]
+    rng.shuffle(order)
+    width = len(rows[0])
+    return ([rows[i] if i is not None else [zero] * width for i in order],
+            [rhs[i] if i is not None else zero for i in order])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_linear_matches_enumeration_oracle(p):
+    """None exactly when unsolvable, else the one solution that is zero on free columns."""
+    rng = random.Random(p)
+    field = PrimeField(p)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.5:
+            y0 = [rng.randrange(p) for _ in range(ncols)]
+            rhs = [sum(a * b for a, b in zip(row, y0)) % p for row in rows]
+        else:
+            rhs = [rng.randrange(p) for _ in range(nrows)]
+        solutions = fp_solutions(rows, rhs, p)
+        want = None
+        if solutions:
+            free = fp_free_columns(rows, p)
+            canonical = [y for y in solutions if all(y[c] == 0 for c in free)]
+            assert len(canonical) == 1
+            want = canonical[0]
+        assert solve_linear(field, rows, rhs) == want, (rows, rhs)
+        # row order and all-zero rows do not matter
+        assert solve_linear(field, *_shuffled_with_zero_row(rng, rows, rhs, 0)) == want
+
+
+def test_solve_linear_over_q_rank_deficient_and_inconsistent():
+    F = Fraction
+    # column 1 = 2 * column 0 and column 3 = column 0 - column 2, so both are free
+    rows = [[F(1), F(2), F(0), F(1)],
+            [F(1, 2), F(1), F(3), F(-5, 2)],
+            [F(0), F(0), F(1), F(-1)],
+            [F(2), F(4), F(-1), F(3)]]
+    y = [F(1, 3), F(0), F(-7), F(0)]
+    rhs = [sum(a * b for a, b in zip(row, y)) for row in rows]
+    # (1, 0, 0, 0) is not a combination of columns 0 and 2
+    bad = [rhs[0] + 1] + rhs[1:]
+    rng = random.Random(5)
+    for _ in range(20):
+        assert solve_linear(Rationals(), rows, rhs) == y
+        assert solve_linear(Rationals(), rows, bad) is None
+        shuffled = _shuffled_with_zero_row(rng, rows, rhs, F(0))
+        assert solve_linear(Rationals(), *shuffled) == y
+        # invertible row operations, row_i = d * row_i + c * row_j, keep both answers
+        i, j = rng.sample(range(len(rows)), 2)
+        c = F(rng.randint(-5, 5), rng.randint(1, 5))
+        d = F(rng.choice((-3, -2, 2, 3)), rng.randint(1, 5))
+        rows = [r if k != i else [d * a + c * b for a, b in zip(r, rows[j])]
+                for k, r in enumerate(rows)]
+        rhs, bad = ([v if k != i else d * v + c * vec[j] for k, v in enumerate(vec)]
+                    for vec in (rhs, bad))

@@ -2,8 +2,15 @@ import pytest
 
 from skewpbw.catalog import build, catalog_names, parse_presentation_file, serialize
 from skewpbw.errors import ParseError, SemanticError
-from skewpbw.parsing import eval_expr, parse_presentation, parse_scalar
-from skewpbw.rings import PolynomialRing, PrimeField, Rationals
+from skewpbw.parsing import (
+    MAX_SCALAR_DEGREE,
+    degree_bound,
+    eval_expr,
+    parse_expr_tree,
+    parse_presentation,
+    parse_scalar,
+)
+from skewpbw.rings import PolynomialRing, PrimeField, QuotientRing, Rationals
 
 WEYL_FILE = """
 # one-variable commutation over F_7
@@ -106,6 +113,35 @@ def test_scalar_parsing():
     assert parse_scalar("-1/2", Rationals()) == Rationals().from_int(-1) / 2
     with pytest.raises(SemanticError):
         parse_scalar("u + 1", F5t)
+
+
+def test_scalar_powers_match_repeated_products():
+    rings = [PrimeField(7), Rationals(), PolynomialRing(PrimeField(5), "t"),
+             QuotientRing(2, (1, 1, 0, 1), "t"), QuotientRing(3, (0, 0, 1), "t")]
+    for R in rings:
+        base = parse_scalar("2*t + 1" if hasattr(R, "gen_name") else "3/2", R)
+        power = R.one
+        for k in range(12):
+            assert parse_scalar(f"({R.format(base)})^{k}", R) == power, (R, k)
+            power = R.mul(power, base)
+
+
+def test_huge_scalar_powers():
+    F2x3 = QuotientRing(2, (0, 0, 0, 1), "x")  # F_2[x]/(x^3)
+    assert parse_scalar("x^99999999", F2x3) == F2x3.zero
+    assert parse_scalar("(x + 1)^99999999", F2x3) == parse_scalar("(x + 1)^7", F2x3)
+    assert parse_scalar("3^99999999", PrimeField(7)) == pow(3, 99999999, 7)
+    F5t = PolynomialRing(PrimeField(5), "t")
+    assert parse_scalar(f"t^{MAX_SCALAR_DEGREE}", F5t)[-1] == 1
+    with pytest.raises(ParseError, match="degree up to 99999999"):
+        parse_scalar("t^99999999 - t^99999999", F5t)
+
+
+def test_degree_bound():
+    cases = {"7": 0, "t": 1, "-t^3 + 1": 3, "(t + 1)*(t^2 - t)/2": 3, "(t^2 + t)^5": 10,
+             "t^4 - t^4": 4}
+    for text, want in cases.items():
+        assert degree_bound(parse_expr_tree(text)) == want, text
 
 
 def test_default_pairs_commute():
