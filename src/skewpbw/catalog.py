@@ -9,7 +9,8 @@ d-Hermite (stably free modules of rank >= d are free).
 
 Relation sets for the named algebras follow the standard literature
 presentations; every builder output must pass `validate_presentation`, which
-falsifies wrong relation data through the associativity checks.
+decides exactly, by the finitely many diamond-lemma ambiguities, whether the
+relation data give a PBW basis.
 """
 
 from __future__ import annotations

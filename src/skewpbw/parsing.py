@@ -264,16 +264,7 @@ def _eval_scalar(node, ring: Ring, line: int):
         b = _eval_scalar(node[2], ring, line)
         return ring.mul(a, ring.inv(b))
     if op == "pow":
-        # square-and-multiply: coefficient rings are commutative and associative
-        a = _eval_scalar(node[1], ring, line)
-        out, k = ring.one, node[2]
-        while k:
-            if k & 1:
-                out = ring.mul(out, a)
-            k >>= 1
-            if k:
-                a = ring.mul(a, a)
-        return out
+        return ring.pow(_eval_scalar(node[1], ring, line), node[2])
     raise SemanticError(f"bad scalar node {op!r}")
 
 

@@ -62,7 +62,7 @@ def suite_pbw(trials: int = 200, seed: int = DEFAULT_SEED) -> dict:
     rng = random.Random(seed)
     for name in catalog_names():
         P = build(name, p=7)
-        val = validate_presentation(P, samples=100, seed=seed)
+        val = validate_presentation(P)
         _add(report, f"{name}: presentation checks", val.ok,
              "; ".join(c.name for c in val.failures()))
         bad = []

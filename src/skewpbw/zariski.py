@@ -174,7 +174,7 @@ class FiniteCommRing:
 
     @classmethod
     def quotient_poly(cls, p: int, modulus, gen_name: str = "x") -> "FiniteCommRing":
-        # checked before QuotientRing, whose irreducibility scan grows with the size
+        # checked before the add and mul tables of p^d elements are built
         if p ** (len(modulus) - 1) > MAX_RING_SIZE:
             raise _too_large(f"F_{p}[{gen_name}]/(modulus of degree {len(modulus) - 1})")
         return cls.from_ring(QuotientRing(p, modulus, gen_name))

@@ -8,6 +8,7 @@ between these and the package is the point of the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -92,6 +93,13 @@ def _apply_one_rule(P, coeff, word, pos):
     return out
 
 
+def random_nonzero(R, rng):
+    while True:
+        a = R.random_element(rng)
+        if a != R.zero:
+            return a
+
+
 def random_word(P, rng, max_len=8):
     """Random mixed word of variables and nonzero scalars."""
     out = []
@@ -99,8 +107,111 @@ def random_word(P, rng, max_len=8):
         if rng.random() < 0.7:
             out.append(("v", rng.randrange(P.n)))
         else:
-            out.append(("c", P.ring.random_nonzero(rng)))
+            out.append(("c", random_nonzero(P.ring, rng)))
     return out
+
+
+# -- coefficient actions by sampling and by exhausting a finite ring -----------------
+
+
+def _endo_failures(R, s, pairs, add, mul):
+    bad = []
+    for a, b in pairs:
+        if s(add(a, b)) != add(s(a), s(b)):
+            bad.append(f"additivity fails at ({R.format(a)}, {R.format(b)})")
+        if s(mul(a, b)) != mul(s(a), s(b)):
+            bad.append(f"multiplicativity fails at ({R.format(a)}, {R.format(b)})")
+        if bad:
+            break
+    if s(R.one) != R.one:
+        bad.append("does not fix 1")
+    return bad
+
+
+def _derivation_failures(R, d, s, pairs, add, mul):
+    for a, b in pairs:
+        if d(mul(a, b)) != add(mul(s(a), d(b)), mul(d(a), b)):
+            return [f"Leibniz fails at ({R.format(a)}, {R.format(b)})"]
+        if d(add(a, b)) != add(d(a), d(b)):
+            return [f"additivity fails at ({R.format(a)}, {R.format(b)})"]
+    return []
+
+
+def _random_pairs(R, rng, samples):
+    for _ in range(samples):
+        yield R.random_element(rng), R.random_element(rng)
+
+
+def sampled_endo_laws(spec, rng, samples=500):
+    """Additivity and multiplicativity of sigma on random pairs, and sigma(1) = 1."""
+    R = spec.ring
+    return _endo_failures(R, spec.apply, _random_pairs(R, rng, samples), R.add, R.mul)
+
+
+def sampled_derivation_laws(spec, rng, samples=500):
+    """Twisted Leibniz rule and additivity of delta on random pairs."""
+    R = spec.ring
+    return _derivation_failures(R, spec.apply, spec.sigma.apply,
+                                _random_pairs(R, rng, samples), R.add, R.mul)
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(R):
+    """Elements, and add and mul as lookups into tables of every pair."""
+    els = tuple(R.elements())
+    pairs = list(itertools.product(els, els))
+    add_t = {(a, b): R.add(a, b) for a, b in pairs}
+    mul_t = {(a, b): R.mul(a, b) for a, b in pairs}
+    return els, pairs, lambda a, b: add_t[a, b], lambda a, b: mul_t[a, b]
+
+
+@functools.lru_cache(maxsize=64)
+def _tabulated(spec, els):
+    """A coefficient action as a lookup into the table of its values on `els`."""
+    return {a: spec.apply(a) for a in els}.__getitem__
+
+
+def _extends_image(spec, act):
+    """An action must send t to its declared image; over F_p[x]/(x - c), where
+    t is the constant c, no image but the trivial one extends."""
+    g = spec.gen_image
+    if g is None or act(spec.ring.generator) == g:
+        return []
+    return ["does not send the generator to its image"]
+
+
+def exhaustive_endo_laws(spec):
+    """The sigma laws on every pair of elements of a finite ring."""
+    els, pairs, add, mul = _tables(spec.ring)
+    s = _tabulated(spec, els)
+    return _extends_image(spec, s) + _endo_failures(spec.ring, s, pairs, add, mul)
+
+
+def exhaustive_derivation_laws(spec):
+    """The delta laws on every pair of elements of a finite ring."""
+    els, pairs, add, mul = _tables(spec.ring)
+    d = _tabulated(spec, els)
+    return _extends_image(spec, d) + _derivation_failures(
+        spec.ring, d, _tabulated(spec.sigma, els), pairs, add, mul)
+
+
+def injective_by_scan(spec):
+    """Injectivity of sigma on a finite ring, by collecting every image."""
+    images = {spec.apply(a) for a in spec.ring.elements()}
+    return len(images) == spec.ring.size
+
+
+def irreducible_by_scan(R):
+    """Irreducibility of the modulus of F_p[x]/(f), by trial division by every
+    non-constant polynomial of degree at most deg(f) / 2."""
+    d = len(R.modulus) - 1
+    return not any(len(c) >= 2 and R.poly.divmod(R.modulus, c)[1] == ()
+                   for c in R.poly.polys_up_to(d // 2))
+
+
+def monic_moduli(p, d):
+    """Every monic polynomial of degree d over F_p, as ascending coefficient tuples."""
+    return [lower + (1,) for lower in itertools.product(range(p), repeat=d)]
 
 
 # -- linear systems over F_p by enumeration ------------------------------------------

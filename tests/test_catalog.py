@@ -31,14 +31,14 @@ def test_quantum_plane_constant():
 def test_every_entry_validates():
     for name in catalog_names():
         P = build(name, p=7)
-        rep = validate_presentation(P, samples=60)
+        rep = validate_presentation(P)
         assert rep.ok, (name, [c.name for c in rep.failures()])
         assert P.bijective
 
 
 def test_entries_over_q():
     for name in ("weyl", "quantum-plane", "usl2", "dispin"):
-        rep = validate_presentation(build(name, rationals=True), samples=40)
+        rep = validate_presentation(build(name, rationals=True))
         assert rep.ok, name
 
 
@@ -98,10 +98,10 @@ def test_multiplicative_analogue_matrix_params():
     lam[1][0], lam[2][0], lam[2][1] = 2, 3, 4
     P = build("multiplicative-analogue", p=7, n=3, lam=lam)
     assert P.c[(0, 1)] == 2 and P.c[(0, 2)] == 3 and P.c[(1, 2)] == 4
-    assert validate_presentation(P, samples=40).ok
+    assert validate_presentation(P).ok
 
 
 def test_additive_analogue_per_variable_q():
     P = build("additive-analogue", p=7, n=2, qs=[2, 3])
     assert P.c[(0, 2)] == 2 and P.c[(1, 3)] == 3
-    assert validate_presentation(P, samples=40).ok
+    assert validate_presentation(P).ok

@@ -149,6 +149,27 @@ def test_check_file(tmp_path, capsys):
     assert out.strip() == "t*x + 1"
 
 
+def test_check_samples_nothing(capsys):
+    code, rep = run_json(capsys, "check", "--algebra", "manin", "--p", "7")
+    assert code == 0 and rep["seed"] is None
+    for flag in ("--samples", "--seed"):
+        code, _, err = run(capsys, "check", "--algebra", "manin", "--p", "7", flag, "5")
+        assert code == 2 and "unrecognized arguments" in err
+
+
+def test_check_large_quotient_ring_answers_promptly(tmp_path):
+    # F_101[x]/(x^6 + 1) has 101^6 elements: nothing may enumerate them
+    pres = tmp_path / "quot.pres"
+    pres.write_text("ring quot Fp 101 x^6+1\nvars y\nsigma y x -> 100*x\nbijective true\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(skewpbw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewpbw.cli", "check", "--file", str(pres)],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
+    assert proc.returncode == 0 and "all checks passed" in proc.stdout
+
+
 def test_check_rejects_inconsistent_relations(tmp_path, capsys):
     # sl2-like relations with one lower term corrupted: associativity fails
     pres = tmp_path / "broken.pres"

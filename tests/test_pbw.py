@@ -165,8 +165,26 @@ def test_degree_subadditive_and_exact():
 
 
 def test_validate_weyl_passes(weyl7):
-    rep = validate_presentation(weyl7, samples=100)
+    rep = validate_presentation(weyl7)
     assert rep.ok
+
+
+def test_report_does_not_depend_on_seed_or_samples(monkeypatch):
+    import random as random_module
+
+    from skewpbw.parsing import parse_presentation
+
+    def no_randomness(*_):
+        raise AssertionError("validation drew a random number")
+
+    monkeypatch.setattr(random_module, "Random", no_randomness)
+    near_miss = parse_presentation("ring quot Fp 3 x^2\nvars y z\ndelta y x -> 1\nc z y = 2\n")
+    for P in (build("manin", p=7), build("usl2", rationals=True), near_miss):
+        base = validate_presentation(P).as_dict()
+        for samples, seed in ((0, 0), (5000, 12345)):
+            rep = validate_presentation(P, samples=samples, seed=seed).as_dict()
+            assert rep["seed"] == seed
+            assert {**rep, "seed": None} == {**base, "seed": None}
 
 
 def test_validate_flags_broken_triple():
@@ -176,7 +194,7 @@ def test_validate_flags_broken_triple():
     lower = dict(base.lower)
     lower[(0, 2)] = (field.zero, (field.zero, field.from_int(2), field.zero))
     broken = Presentation(field, base.names, base.sigma, base.delta, base.c, lower)
-    rep = validate_presentation(broken, samples=50)
+    rep = validate_presentation(broken)
     assert not rep.ok
     bad = [c for c in rep.checks if not c.passed]
     assert any("(h*f)*e" in c.name for c in bad)

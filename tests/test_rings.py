@@ -2,6 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import (
+    exhaustive_derivation_laws,
+    exhaustive_endo_laws,
+    injective_by_scan,
+    irreducible_by_scan,
+    monic_moduli,
+    sampled_derivation_laws,
+    sampled_endo_laws,
+)
 
 from skewpbw.errors import InfiniteRing, KindMismatch, NotAUnit
 from skewpbw.rings import (
@@ -143,21 +152,98 @@ def test_canonical_arithmetic_samples(ring):
 
 def test_endo_law_sampling():
     F5t = PolynomialRing(PrimeField(5), "t")
-    rng = random.Random(3)
     good = EndoSpec(F5t, (1, 2))  # t -> 2t + 1 extends to a ring map
-    assert check_endo_laws(good, rng, 500) == []
+    assert check_endo_laws(good) == []
     # quotient map that is not well defined: x -> x + 1 in F_2[x]/(x^2)
     Q = QuotientRing(2, (0, 0, 1))
     broken = EndoSpec(Q, (1, 1))
-    assert check_endo_laws(broken, random.Random(3), 200) != []
+    assert check_endo_laws(broken) != []
 
 
 def test_derivation_law_sampling():
     F5t = PolynomialRing(PrimeField(5), "t")
-    rng = random.Random(3)
     sig = EndoSpec(F5t, F5t.scale(3, F5t.generator))
     spec = DerivationSpec(F5t, sig, (2, 1))
-    assert check_derivation_laws(spec, rng, 500) == []
+    assert check_derivation_laws(spec) == []
+
+
+# every quotient ring over F_2 up to degree 3 and over F_3 and F_5 up to degree 2
+QUOTIENT_CORPUS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]
+
+
+def _quotient_corpus():
+    return [QuotientRing(p, f) for p, d in QUOTIENT_CORPUS for f in monic_moduli(p, d)]
+
+
+def test_exact_endo_checks_match_exhaustive_oracle():
+    count = 0
+    for R in _quotient_corpus():
+        for g in R.elements():
+            spec = EndoSpec(R, g)
+            assert (check_endo_laws(spec) == []) == (exhaustive_endo_laws(spec) == []), (R, g)
+            assert spec.injectivity_known() == injective_by_scan(spec), (R, g)
+            assert spec.bijectivity_known() == spec.injectivity_known()
+            count += 1
+    assert count == 824
+
+
+def test_exact_derivation_checks_match_exhaustive_oracle():
+    # every sigma over rings of at most 9 elements, the well-defined ones above
+    count = valid = 0
+    for R in _quotient_corpus():
+        sigmas = [EndoSpec(R, g) for g in R.elements()]
+        if R.size > 9:
+            sigmas = [s for s in sigmas if not check_endo_laws(s)]
+        for sigma in sigmas:
+            for e in R.elements():
+                spec = DerivationSpec(R, sigma, e)
+                exact = check_derivation_laws(spec) == []
+                assert exact == (exhaustive_derivation_laws(spec) == []), (R, sigma, e)
+                count += 1
+                valid += exact
+    assert (count, valid) == (3590, 1300)
+
+
+def test_degree_one_quotient_admits_only_trivial_actions():
+    R = QuotientRing(5, (1, 1))  # F_5[x]/(x + 1): x is the constant 4
+    assert R.generator == (4,)
+    assert check_endo_laws(EndoSpec(R, (3,))) == ["sigma(x + 1) = 4, not 0"]
+    assert check_derivation_laws(DerivationSpec(R, EndoSpec(R), (1,))) == ["delta(x + 1) = 1, not 0"]
+
+
+def test_laws_hold_for_every_image_over_polynomial_rings():
+    rng = random.Random(5)
+    for R in (PolynomialRing(PrimeField(5), "t"), PolynomialRing(Rationals(), "t")):
+        for _ in range(10):
+            sigma = EndoSpec(R, R.random_element(rng, 2))
+            delta = DerivationSpec(R, sigma, R.random_element(rng, 2))
+            assert check_endo_laws(sigma) == [] == sampled_endo_laws(sigma, rng, 20)
+            assert check_derivation_laws(delta) == [] == sampled_derivation_laws(delta, rng, 20)
+
+
+def test_sampled_oracle_finds_what_the_exact_check_finds():
+    rng = random.Random(3)
+    Q = QuotientRing(2, (0, 0, 1))
+    assert sampled_endo_laws(EndoSpec(Q, (1, 1)), rng, 200) != []  # x -> x + 1 mod x^2
+    R = QuotientRing(3, (0, 0, 1))
+    bad = DerivationSpec(R, EndoSpec(R), R.one)  # d/dx does not preserve (x^2) in char 3
+    assert check_derivation_laws(bad) != [] and sampled_derivation_laws(bad, rng, 200) != []
+
+
+def test_rabin_test_matches_trial_division():
+    for p, top in ((2, 6), (3, 4), (5, 3), (7, 3)):
+        for d in range(1, top + 1):
+            for f in monic_moduli(p, d):
+                R = QuotientRing(p, f)
+                assert R.is_field == irreducible_by_scan(R), (p, f)
+
+
+def test_large_quotient_rings_are_decided_without_enumeration():
+    R = QuotientRing(101, (1, 0, 0, 0, 0, 0, 1))  # x^6 + 1 has 101^6 elements
+    assert not R.is_field  # x^6 + 1 = (x^2 + 1)(x^4 - x^2 + 1)
+    assert QuotientRing(101, (2, 0, 1)).is_field  # -2 is not a square mod 101
+    assert EndoSpec(R, R.neg(R.generator)).bijectivity_known()  # x -> -x
+    assert not EndoSpec(R, R.mul(R.generator, R.generator)).injectivity_known()  # x -> x^2
 
 
 def test_injectivity_verdicts():
