@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success/verified, 1 verification failure or no certificate
-found, 2 usage or input errors.  `--json` wraps the result in the report
-envelope described by report_schema.json; identical argv and seed give
-byte-identical reports apart from the wall-time field.  Only `zariski` and
-`suite` sample, so only they take a seed: --seed, else SKEWPBW_SEED, else the
-package default.  Every other command, `check` included, reports a null seed.
+found, 2 usage or input errors, inputs too deep for the recursive evaluator
+included.  `--json` wraps the result in the report envelope described by
+report_schema.json; identical argv and seed give byte-identical reports apart
+from the wall-time field.  Only `zariski` and `suite` sample, so only they
+take a seed: --seed, else SKEWPBW_SEED, else the package default.  Every other
+command, `check` included, reports a null seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import time
 
 from . import catalog
-from .errors import NotFoundWithinBound, ParseError, PreconditionFailed, SkewPBWError
+from .errors import NotFoundWithinBound, PreconditionFailed, SkewPBWError
 from .matrices import (
     PolyMatrix,
     find_left_inverse_column,
@@ -30,7 +31,6 @@ from .parsing import eval_expr
 from .pbw import DEFAULT_SEED, validate_presentation
 from .suites import SUITES
 from .zariski import (
-    FptBackend,
     boundary_ideal,
     check_lattice_laws,
     enumerate_primes,
@@ -187,19 +187,12 @@ def cmd_reduce_stable(args) -> int:
 def cmd_zariski(args) -> int:
     if args.action == "kronecker":
         backend = parse_backend_spec(args.backend)
-        if isinstance(backend, FptBackend):
-            us = [backend.parse(text) for text in args.us.split(",")]
-            u = backend.parse(args.u)
-            try:
-                xs = kronecker_reduce(tuple(us), u, backend, args.bound)
-            except NotFoundWithinBound as exc:
-                return _emit(args, 1, {"found": False, "reason": str(exc)}, lines=[str(exc)])
-            shown = [backend.format(x) for x in xs]
-        else:
-            us = [_ring_element(backend, v) for v in args.us.split(",")]
-            u = _ring_element(backend, args.u)
-            xs = kronecker_reduce(tuple(us), u, backend)
-            shown = [backend.format(x) for x in xs]
+        us = tuple(backend.element_from_text(text) for text in args.us.split(","))
+        try:
+            xs = kronecker_reduce(us, backend.element_from_text(args.u), backend, args.bound)
+        except NotFoundWithinBound as exc:
+            return _emit(args, 1, {"found": False, "reason": str(exc)}, lines=[str(exc)])
+        shown = [backend.format(x) for x in xs]
         return _emit(args, 0, {"found": True, "shifts": shown},
                      lines=["shifts: " + ", ".join(shown)])
 
@@ -214,12 +207,12 @@ def cmd_zariski(args) -> int:
                      {"ring": ring.label, "primes": [[ring.format(a) for a in P.sorted_elements()] for P in primes]},
                      lines=[fmt_ideal(P) for P in primes])
     if args.action == "D":
-        gens = tuple(_ring_element(ring, text) for text in args.gens.split(","))
+        gens = tuple(ring.element_from_text(text) for text in args.gens.split(","))
         D = zariski_D(gens, ring)
         return _emit(args, 0, {"ring": ring.label, "D": [ring.format(a) for a in D.sorted_elements()]},
                      lines=[fmt_ideal(D)])
     if args.action == "boundary":
-        v = _ring_element(ring, args.v)
+        v = ring.element_from_text(args.v)
         I = boundary_ideal(v, ring)
         return _emit(args, 0, {"ring": ring.label, "boundary": [ring.format(a) for a in I.sorted_elements()],
                                "whole_ring": I.is_whole()},
@@ -234,13 +227,6 @@ def cmd_zariski(args) -> int:
         return _emit(args, 0 if rep["ok"] else 1, {"ring": ring.label, "mode": args.mode},
                      checks, lines)
     raise SkewPBWError(f"unknown zariski action {args.action!r}")
-
-
-def _ring_element(ring, text: str):
-    try:
-        return ring.element_from_text(text)
-    except ValueError as exc:
-        raise SkewPBWError(str(exc)) from exc
 
 
 def cmd_suite(args) -> int:
@@ -375,11 +361,11 @@ def dispatch(argv) -> int:
         args.uses_seed = False
     try:
         return args.fn(args)
-    except (ParseError, SkewPBWError, OSError, ValueError) as exc:
-        if isinstance(exc, (NotFoundWithinBound, PreconditionFailed)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except (SkewPBWError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, (NotFoundWithinBound, PreconditionFailed)) else 2
+    except RecursionError:
+        print("error: the input nests too deeply or its degree is too high", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,7 @@ degree at most one; anything else is rejected before a presentation is built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import ParseError, SemanticError
@@ -34,6 +35,7 @@ from .rings import (
     QuotientRing,
     Rationals,
     Ring,
+    power,
 )
 
 _SYMBOLS = "+-*/^()"
@@ -165,8 +167,14 @@ def parse_expr_tree(text: str, line: int = 1):
 
 
 def eval_expr(text: str, pres: Presentation, line: int = 1) -> SkewPoly:
-    """Parse and normalize an expression over a presentation."""
-    return _eval_node(parse_expr_tree(text, line), pres)
+    """Parse and normalize an expression over a presentation.
+
+    An expression whose degree may exceed MAX_SCALAR_DEGREE is refused before
+    it is evaluated.
+    """
+    node = parse_expr_tree(text, line)
+    _check_degree(node, line)
+    return _eval_node(node, pres)
 
 
 def _eval_node(node, pres: Presentation) -> SkewPoly:
@@ -197,12 +205,8 @@ def _eval_node(node, pres: Presentation) -> SkewPoly:
         if w is None:
             raise SemanticError("division by a non-unit")
         return a * pres.scalar(w)
-    if op == "pow":
-        base = _eval_node(node[1], pres)
-        out = pres.one()
-        for _ in range(node[2]):
-            out = out * base
-        return out
+    if op == "pow":  # square-and-multiply: the algebra is associative
+        return power(_eval_node(node[1], pres), node[2], operator.mul, pres.one())
     raise SemanticError(f"bad expression node {op!r}")
 
 
@@ -214,17 +218,21 @@ def parse_scalar(text: str, ring: Ring, line: int = 1):
     """
     node = parse_expr_tree(text, line)
     if isinstance(ring, PolynomialRing):
-        degree = degree_bound(node)
-        if degree > MAX_SCALAR_DEGREE:
-            raise ParseError(
-                f"a polynomial of degree up to {degree} exceeds the limit of {MAX_SCALAR_DEGREE}",
-                line,
-            )
+        _check_degree(node, line)
     return _eval_scalar(node, ring, line)
 
 
-def degree_bound(node) -> int:
-    """An upper bound on the degree in the generator of a scalar expression tree.
+def _check_degree(node, line: int):
+    degree = degree_bound(node)
+    if degree > MAX_SCALAR_DEGREE:
+        raise ParseError(
+            f"a polynomial of degree up to {degree} exceeds the limit of {MAX_SCALAR_DEGREE}", line
+        )
+
+
+def degree_bound(node, names=None) -> int:
+    """An upper bound on the degree of an expression tree in the given names
+    (in every name when `names` is None).
 
     A divisor must be a unit scalar, so a quotient has at most the degree of
     its dividend.
@@ -233,15 +241,15 @@ def degree_bound(node) -> int:
     if op == "int":
         return 0
     if op == "name":
-        return 1
+        return 1 if names is None or node[1] in names else 0
     if op in {"neg", "div"}:
-        return degree_bound(node[1])
+        return degree_bound(node[1], names)
     if op in {"add", "sub"}:
-        return max(degree_bound(node[1]), degree_bound(node[2]))
+        return max(degree_bound(node[1], names), degree_bound(node[2], names))
     if op == "mul":
-        return degree_bound(node[1]) + degree_bound(node[2])
+        return degree_bound(node[1], names) + degree_bound(node[2], names)
     if op == "pow":
-        return degree_bound(node[1]) * node[2]
+        return degree_bound(node[1], names) * node[2]
     raise SemanticError(f"bad scalar node {op!r}")
 
 
@@ -273,6 +281,9 @@ def _formal_terms(node, ring: Ring, var_index, line: int):
 
     Returns a list of (coefficient payload, variable index tuple); scalars
     multiply into the left coefficient, variable order within a term is kept.
+    Products merge their terms by word, in order of first appearance, and keep
+    the words whose coefficients sum to zero, so that every written word
+    reaches `_parse_rel_rhs`.
     """
     op = node[0]
     if op == "int":
@@ -294,11 +305,8 @@ def _formal_terms(node, ring: Ring, var_index, line: int):
             right = [(ring.neg(c), w) for c, w in right]
         return left + right
     if op == "mul":
-        out = []
-        for c1, w1 in _formal_terms(node[1], ring, var_index, line):
-            for c2, w2 in _formal_terms(node[2], ring, var_index, line):
-                out.append((ring.mul(c1, c2), w1 + w2))
-        return out
+        return _word_product(_formal_terms(node[1], ring, var_index, line),
+                             _formal_terms(node[2], ring, var_index, line), ring)
     if op == "div":
         left = _formal_terms(node[1], ring, var_index, line)
         right = _formal_terms(node[2], ring, var_index, line)
@@ -307,15 +315,18 @@ def _formal_terms(node, ring: Ring, var_index, line: int):
         w = ring.inv(right[0][0])
         return [(ring.mul(c, w), word) for c, word in left]
     if op == "pow":
-        out = [(ring.one, ())]
-        for _ in range(node[2]):
-            nxt = []
-            for c1, w1 in out:
-                for c2, w2 in _formal_terms(node[1], ring, var_index, line):
-                    nxt.append((ring.mul(c1, c2), w1 + w2))
-            out = nxt
-        return out
+        return power(_formal_terms(node[1], ring, var_index, line), node[2],
+                     lambda a, b: _word_product(a, b, ring), [(ring.one, ())])
     raise SemanticError(f"bad relation node {op!r} (line {line})")
+
+
+def _word_product(left, right, ring: Ring):
+    out = {}
+    for c1, w1 in left:
+        for c2, w2 in right:
+            c, w = ring.mul(c1, c2), w1 + w2
+            out[w] = ring.add(out[w], c) if w in out else c
+    return [(c, w) for w, c in out.items()]
 
 
 def parse_ring_line(parts: list[str], line: int) -> Ring:
@@ -480,7 +491,18 @@ def _parse_rel_rhs(rhs: str, ring: Ring, names: list[str], lo: int, hi: int, lin
     def var_index(nm):
         return names.index(nm) if nm in names else None
 
-    terms = _formal_terms(parse_expr_tree(rhs, lineno), ring, var_index, lineno)
+    node = parse_expr_tree(rhs, lineno)
+    # every word is kept, so one longer than 2 would be rejected below; refusing
+    # it here keeps the expansion, and a power such as (x + y)^40, small
+    degree = degree_bound(node, names)
+    if degree > 2:
+        raise SemanticError(
+            f"line {lineno}: lower terms of degree >= 2 are not allowed "
+            f"(the right-hand side has degree {degree})"
+        )
+    if isinstance(ring, PolynomialRing):
+        _check_degree(node, lineno)
+    terms = _formal_terms(node, ring, var_index, lineno)
     cval = None
     d0 = ring.zero
     dks = [ring.zero] * len(names)

@@ -37,6 +37,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def power(a, k: int, mul, one):
+    """a^k for k >= 0 under an associative `mul` with unit `one`, by square-and-multiply."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return out
+
+
 class Ring:
     """Common surface of all coefficient rings.
 
@@ -83,15 +95,7 @@ class Ring:
         return a == self.zero
 
     def pow(self, a, k: int):
-        """a^k for k >= 0, by square-and-multiply."""
-        out = self.one
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            k >>= 1
-            if k:
-                a = self.mul(a, a)
-        return out
+        return power(a, k, self.mul, self.one)
 
     def from_int(self, k: int):
         """Canonical image of the integer k."""
@@ -320,6 +324,10 @@ class PolynomialRing(_Univariate):
             for j, cb in enumerate(b):
                 rem[i + j] = self.base.sub(rem[i + j], self.base.mul(q, cb))
         return _trim(tuple(quo), z), _trim(tuple(rem), z)
+
+    def derivative(self, a):
+        return _trim(tuple(self.base.mul(self.base.from_int(k), c) for k, c in enumerate(a))[1:],
+                     self.base.zero)
 
     def monic(self, a):
         if not a:

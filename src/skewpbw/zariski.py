@@ -10,9 +10,10 @@ Two backends:
 * F_p[t], where D(generators) is the squarefree part of their gcd, kept as a
   canonical monic representative.
 
-Radicals over F_p[t] are computed by full trial-division factorization rather
-than gcd with the derivative: in characteristic p the derivative of anything
-in F_p[t^p] vanishes, which would break the squarefree step.
+Radicals over F_p[t] come from gcds alone: w = f / gcd(f, f') collects the
+primes whose multiplicity p does not divide, and where f' vanishes (f in
+F_p[t^p]) a p-th root, f(t) = g(t^p) = g(t)^p, lowers the degree instead;
+no candidate factor is ever enumerated (see `FptBackend.squarefree_part`).
 
 The reduction lemma behind `kronecker_reduce` is usually stated for domains,
 but its inductive step passes to quotient rings that need not be domains; the
@@ -686,8 +687,9 @@ class FptBackend:
     def __init__(self, p: int):
         self.p = p
         self.ring = PolynomialRing(PrimeField(p), "t")
+        self._squarefree: dict = {}  # monic f -> its squarefree part
 
-    def parse(self, text: str):
+    def element_from_text(self, text: str):
         return parse_scalar(text, self.ring)
 
     def format(self, a) -> str:
@@ -699,68 +701,40 @@ class FptBackend:
             g = self.ring.gcd(g, a)
         return g
 
-    def irreducible_factors(self, f: tuple) -> list[tuple]:
-        """Distinct monic irreducible factors, by trial division."""
-        R = self.ring
-        f = R.monic(f)
-        factors = []
-        d = 1
-        while R.deg(f) >= 1:
-            if d > R.deg(f) // 2:
-                # nothing of degree <= half divides what is left: irreducible
-                factors.append(f)
-                break
-            for cand in _monic_polys(R, d):
-                q, rem = R.divmod(f, cand)
-                if rem != ():
-                    continue
-                factors.append(cand)
-                while rem == ():
-                    f = q
-                    if R.deg(f) == 0:
-                        break
-                    q, rem = R.divmod(f, cand)
-                if R.deg(f) == 0:
-                    break
-            d += 1
-        return factors
-
     def squarefree_part(self, f: tuple) -> tuple:
+        """rad(f): the product of the distinct monic primes dividing f, from gcds alone.
+
+        Over F_p, with f monic and f = prod q^e_q:
+        * if f' = 0, only powers t^(pk) occur in f, so f = g(t^p) = g(t)^p
+          (every coefficient is its own p-th power) and rad(f) = rad(g), where
+          g takes every p-th coefficient of f;
+        * otherwise g = gcd(f, f') = prod q^(e_q - 1 if p does not divide e_q,
+          else e_q), so w = f / g is the product of the q whose exponent p does
+          not divide, every other prime divides g, and rad(f) = lcm(w, rad(g)).
+        Both steps lower the degree, so the loop ends at g = 1.
+        """
         if f == ():
             return ()
-        f = self.ring.monic(f)
-        if self.ring.deg(f) == 0:
-            return self.ring.one
-        key = (self.p, f)
-        hit = _SQUAREFREE_CACHE.get(key)
+        R = self.ring
+        f = R.monic(f)
+        hit = self._squarefree.get(f)
         if hit is None:
-            out = self.ring.one
-            for q in self.irreducible_factors(f):
-                out = self.ring.mul(out, q)
-            hit = self.ring.monic(out)
-            _SQUAREFREE_CACHE[key] = hit
+            hit, rest = R.one, f
+            while len(rest) > 1:
+                d = R.derivative(rest)
+                if not d:
+                    rest = rest[::self.p]
+                    continue
+                g = R.gcd(rest, d)
+                w = R.divmod(rest, g)[0]
+                hit = R.mul(hit, R.divmod(w, R.gcd(hit, w))[0])
+                rest = g
+            self._squarefree[f] = hit
         return hit
 
     def radical_class(self, gens) -> RadicalClass:
         g = self.gcd_many(tuple(gens))
         return RadicalClass(self.p, self.squarefree_part(g))
-
-    def polys_up_to(self, max_deg: int) -> list[tuple]:
-        return self.ring.polys_up_to(max_deg)
-
-
-_SQUAREFREE_CACHE: dict = {}
-
-
-def _monic_polys(R: PolynomialRing, d: int):
-    base = list(R.base.elements())
-    for code in range(len(base) ** d):
-        cs = []
-        v = code
-        for _ in range(d):
-            cs.append(base[v % len(base)])
-            v //= len(base)
-        yield tuple(cs) + (R.base.one,)
 
 
 def radical_membership_fpt(a, gens, backend: FptBackend):
@@ -805,7 +779,7 @@ def kronecker_reduce(us, u, backend, degree_bound: int | None = None):
     target = backend.radical_class((u1, u2, u))
     unit_target = target.is_unit_class()
     for stage in range(degree_bound + 1):
-        polys = backend.polys_up_to(stage)
+        polys = R.polys_up_to(stage)
         for x1 in polys:
             x1_seen = stage > 0 and R.deg(x1) < stage
             s1 = R.add(u1, R.mul(x1, u))

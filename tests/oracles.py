@@ -214,6 +214,27 @@ def monic_moduli(p, d):
     return [lower + (1,) for lower in itertools.product(range(p), repeat=d)]
 
 
+def squarefree_by_trial_division(R, f):
+    """rad(f) in F_p[t]: the product of the distinct monic irreducible factors
+    of f, found by trial division by every monic polynomial of degree d, for
+    d = 1, 2, ... while d is at most half the degree of what is left."""
+    if f == ():
+        return ()
+    f, out, d = R.monic(f), R.one, 1
+    while R.deg(f) >= 1:
+        if d > R.deg(f) // 2:  # no factor of degree <= half is left: irreducible
+            return R.mul(out, f)
+        for cand in monic_moduli(R.base.p, d):
+            q, rem = R.divmod(f, cand)
+            if rem == ():
+                out = R.mul(out, cand)
+            while rem == ():
+                f = q
+                q, rem = R.divmod(f, cand)
+        d += 1
+    return out
+
+
 # -- linear systems over F_p by enumeration ------------------------------------------
 
 

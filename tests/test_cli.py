@@ -128,6 +128,53 @@ def test_huge_exponents_answer_promptly(args, code):
         assert proc.stdout.strip() == "{0, x, x^2, x^2 + x}"
 
 
+def _cli(*argv, timeout=20):
+    env = dict(os.environ, PYTHONPATH=str(Path(skewpbw.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "skewpbw.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
+def test_kronecker_irreducible_degree_20_answers_promptly():
+    f = "t^20+t^2+t+1"  # irreducible over F_5: no factor of degree <= 10 is tried
+    proc = _cli("zariski", "kronecker", "--backend", "fpt:5", "--us", f"{f},{f}", "--u", f,
+                "--bound", "0")
+    assert proc.returncode == 0 and proc.stdout == "shifts: 0, 0\n"
+
+
+def _deep_sum(term):
+    return "+".join([term] * 3000)
+
+
+@pytest.mark.parametrize("argv, rel", [
+    (("normalize", "--algebra", "weyl", "--p", "7", _deep_sum("x")), None),
+    (("zariski", "D", "--ring", "Zmod:12", "--gens", _deep_sum("1")), None),
+    (("check", "--file"), f"rel y x = x y + {_deep_sum('1')}"),
+    (("normalize", "--algebra", "weyl", "--p", "7", "x^1000*t^1000"), None),
+], ids=["normalize-sum", "D-sum", "rel-sum", "normalize-degree-2000"])
+def test_too_deep_input_exit_2(tmp_path, argv, rel):
+    if rel is not None:
+        pres = tmp_path / "deep.pres"
+        pres.write_text(f"ring Fp 7\nvars x y\n{rel}\n")
+        argv = argv + (str(pres),)
+    proc = _cli(*argv)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+
+
+def test_relation_power_answers_promptly(tmp_path):
+    powered, literal = tmp_path / "powered.pres", tmp_path / "literal.pres"
+    powered.write_text("ring Fp 7\nvars x y\nrel y x = x y + (1+1)^40\n")
+    literal.write_text(f"ring Fp 7\nvars x y\nrel y x = x y + {2**40 % 7}\n")
+    proc = _cli("check", "--file", str(powered))
+    assert proc.returncode == 0 and proc.stdout == _cli("check", "--file", str(literal)).stdout
+
+
+def test_huge_expression_power_exit_2():
+    proc = _cli("normalize", "--algebra", "weyl", "--p", "7", "x^99999999")
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0 and "weyl" in out and "manin" in out

@@ -158,3 +158,36 @@ def test_quotient_coefficient_ring_file():
     P = parse_presentation(text)
     assert P.ring.size == 8 and P.ring.is_field  # x^3+x+1 is irreducible over F_2
     assert parse_presentation_file(serialize(P)) == P
+
+
+@pytest.mark.parametrize("name, p", [("weyl", 7), ("usl2", 7), ("quantum-plane", 7), ("weyl", None),
+                                     ("manin", 11)])
+def test_expression_powers_match_repeated_products(name, p):
+    P = build(name, p=p, rationals=p is None)
+    base = "(" + " + ".join(P.names) + " + 1)"
+    for k in range(6):
+        product = "*".join([base] * k) if k else "1"
+        assert eval_expr(f"{base}^{k}", P) == eval_expr(product, P), (name, k)
+
+
+def test_huge_expression_powers_refused():
+    P = build("weyl", p=7)
+    with pytest.raises(ParseError, match="degree up to 99999999"):
+        eval_expr("x^99999999", P)
+    with pytest.raises(ParseError, match="degree up to 200000"):
+        eval_expr("(x*t)^100000", P)
+
+
+def test_relation_powers_expand_by_word():
+    head = "ring Fp 7\nvars x y\nrel y x = "
+    assert parse_presentation(head + "x y + (1+1)^40\n") == parse_presentation(head + f"x y + {2**40 % 7}\n")
+    assert parse_presentation(head + "(x + 1)*(y + 1) - x - y - 1\n") == parse_presentation(head + "x y\n")
+    poly = "ring poly Fp 5 t\nvars x y\nrel y x = "
+    assert (parse_presentation(poly + "x y + (t + 1)^3 * x\n")
+            == parse_presentation(poly + "x y + (t^3 + 3*t^2 + 3*t + 1) * x\n"))
+    with pytest.raises(SemanticError, match=r"got y\*y"):  # its coefficients sum to zero
+        parse_presentation(head + "x y + (y - y)^2\n")
+    with pytest.raises(SemanticError, match="has degree 40"):  # refused before 2^40 words
+        parse_presentation(head + "x y + (x + y)^40\n")
+    with pytest.raises(ParseError, match="degree up to 99999999"):
+        parse_presentation(poly + "x y + t^99999999\n")

@@ -2,7 +2,13 @@ import itertools
 import random
 
 import pytest
-from oracles import pgcd_many, radical_by_powers, same_radical
+from oracles import (
+    monic_moduli,
+    pgcd_many,
+    radical_by_powers,
+    same_radical,
+    squarefree_by_trial_division,
+)
 
 from skewpbw.errors import InvalidRing, NotFoundWithinBound, PreconditionFailed, RingTooLarge
 from skewpbw.rings import PrimeField, ResidueRing
@@ -203,6 +209,31 @@ def test_fpt_membership_agrees_with_radical_class(B5):
         else:
             expected = R.divmod(a, cls.poly)[1] == ()
         assert member == expected
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 10), (3, 6), (5, 4)])
+def test_squarefree_part_matches_trial_division_on_every_monic(p, max_deg):
+    B = FptBackend(p)
+    R = B.ring
+    for d in range(max_deg + 1):
+        for f in monic_moduli(p, d):
+            expected = squarefree_by_trial_division(R, f)
+            assert B.squarefree_part(f) == expected, f
+            assert B.squarefree_part(R.scale(p - 1, f)) == expected  # non-monic input
+    assert B.squarefree_part(()) == ()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_squarefree_part_matches_trial_division_on_powers(p):
+    B = FptBackend(p)
+    R = B.ring
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        f = R.one
+        for _ in range(rng.randint(1, 3)):
+            q = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))) + (1,)
+            f = R.mul(f, R.pow(q, rng.choice((1, p, p + 1, 2 * p))))
+        assert B.squarefree_part(f) == squarefree_by_trial_division(R, f), f
 
 
 def test_ring_spec_parsing():
