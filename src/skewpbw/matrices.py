@@ -8,9 +8,10 @@ x^beta * u_i) is normalized, and the resulting system is solved by
 Gauss-Jordan elimination with field inverses, on ints mod p over F_p and on
 Fractions over Q.
 
-Left products x^beta * u are built along the graded basis as a chain,
-x^beta u = x_i (x^(beta - e_i) u) with x_i the first variable of x^beta, so
-each costs one variable step; right products go through the full product.
+Both one-sided searches build their products along the graded basis as a
+chain, each one variable step from an earlier product: x^beta u =
+x_i (x^(beta - e_i) u) with x_i the first variable of x^beta, and
+u x^beta = (u x^(beta - e_j)) x_j with x_j its last variable.
 The stable-reduction search normalizes the products it needs once per search
 and builds every candidate's system from them by scalar combinations.
 
@@ -189,17 +190,26 @@ def solve_linear(field, rows: list[list], rhs: list):
     return y
 
 
-def _left_products(P: Presentation, basis, terms: dict) -> list[dict]:
-    """x^beta * f for each beta of a graded basis, as term dicts.
+def _chain_products(P: Presentation, basis, terms: dict, side: str) -> list[dict]:
+    """x^beta * f (side "left") or f * x^beta ("right") for each beta of a graded basis.
 
-    x^beta = x_i x^(beta - e_i) for the first variable x_i of x^beta, and a
-    graded basis lists beta - e_i before beta, so each product is one
-    variable step from an earlier one.
+    x^beta = x_i x^(beta - e_i) for the first variable x_i of x^beta, and
+    x^beta = x^(beta - e_j) x_j for its last variable x_j.  A graded basis
+    lists beta - e_i and beta - e_j before beta, so each product is one
+    variable step from an earlier one: x^beta f = x_i (x^(beta - e_i) f) and
+    f x^beta = (f x^(beta - e_j)) x_j.
     """
     done = {}
     for beta in basis:
-        i = next((k for k, e in enumerate(beta) if e), None)
-        done[beta] = terms if i is None else P._lmul_var_dict(i, done[bump(beta, i, -1)])
+        used = [k for k, e in enumerate(beta) if e]
+        if not used:
+            done[beta] = terms
+        elif side == "left":
+            i = used[0]
+            done[beta] = P._lmul_var_dict(i, done[bump(beta, i, -1)])
+        else:
+            j = used[-1]
+            done[beta] = P._rmul_var_dict(done[bump(beta, j, -1)], j)
     return [done[beta] for beta in basis]
 
 
@@ -209,10 +219,7 @@ def _witness_search(entries, degree_bound: int, side: str):
     P = entries[0].pres
     field = _solver_field(P)
     basis = monomials_up_to(P.n, degree_bound)
-    if side == "right":
-        products = [(u * P.monomial(beta)).terms for u in entries for beta in basis]
-    else:
-        products = [f for u in entries for f in _left_products(P, basis, u.terms)]
+    products = [f for u in entries for f in _chain_products(P, basis, u.terms, side)]
     support = sorted({m for f in products for m in f}, key=lambda m: (sum(m), m))
     target = (0,) * P.n
     if target not in support:
@@ -348,9 +355,9 @@ class _ShiftedColumns:
         self.p = None if isinstance(field, Rationals) else field.p
         basis = monomials_up_to(P.n, witness_degree_bound)
         a_basis = monomials_up_to(P.n, a_degree_bound)
-        fronts = [_left_products(P, basis, v.terms) for v in front]
-        lasts = {gamma: _left_products(P, basis, w)
-                 for gamma, w in zip(a_basis, _left_products(P, a_basis, last.terms))}
+        fronts = [_chain_products(P, basis, v.terms, "left") for v in front]
+        lasts = {gamma: _chain_products(P, basis, w, "left")
+                 for gamma, w in zip(a_basis, _chain_products(P, a_basis, last.terms, "left"))}
         target = (0,) * P.n
         support = {target}.union(*itertools.chain(*fronts, *lasts.values()))
         support = sorted(support, key=lambda m: (sum(m), m))

@@ -14,6 +14,7 @@ Rewriting terminates: each step either lowers total degree or keeps it while
 strictly reducing the number of out-of-order adjacent variable pairs.  The
 engine evaluates words right-to-left through cached single-variable products,
 which realizes an innermost-leftmost strategy with deterministic output.
+Right products by one variable, x^alpha x_j, share that monomial cache.
 
 Presentations and polynomials are immutable; all operations are pure, so
 independent products may be evaluated concurrently with identical results.
@@ -272,6 +273,34 @@ class Presentation:
                 d = dlt.apply(cf)
                 if d != R.zero:
                     _acc_term(R, out, m, d)
+        return out
+
+    def _mono_rmul(self, mono: Monomial, j: int) -> dict:
+        """x^mono * x_j as a normal-form term dict (cached).
+
+        x^mono x_j is already normal when j is at or after the last variable
+        of x^mono; otherwise x^mono x_j = x_f (x^(mono - e_f) x_j) with x_f the
+        first variable of x^mono.  Keys (mono, j) share `_mono_cache` with the
+        left products' keys (i, mono) without colliding.
+        """
+        key = (mono, j)
+        hit = self._mono_cache.get(key)
+        if hit is not None:
+            return hit
+        if not any(mono[j + 1:]):
+            out = {bump(mono, j): self.ring.one}
+        else:
+            f = next(k for k, e in enumerate(mono) if e)
+            out = self._lmul_var_dict(f, self._mono_rmul(bump(mono, f, -1), j))
+        self._mono_cache[key] = out
+        return out
+
+    def _rmul_var_dict(self, terms: dict, j: int) -> dict:
+        """(sum c_m x^m) * x_j: each coefficient stays on the left."""
+        R = self.ring
+        out: dict = {}
+        for m, cf in terms.items():
+            _acc_scaled(R, out, cf, self._mono_rmul(m, j))
         return out
 
     def _lmul_scalar_dict(self, r, terms: dict) -> dict:

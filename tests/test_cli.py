@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -141,6 +142,32 @@ def test_kronecker_irreducible_degree_20_answers_promptly():
     proc = _cli("zariski", "kronecker", "--backend", "fpt:5", "--us", f"{f},{f}", "--u", f,
                 "--bound", "0")
     assert proc.returncode == 0 and proc.stdout == "shifts: 0, 0\n"
+
+
+ZARISKI_CALLS = {
+    "primes": {"--ring": "Zmod:12"},
+    "D": {"--ring": "Zmod:12", "--gens": "0"},
+    "laws": {"--ring": "Zmod:6"},
+    "boundary": {"--ring": "Zmod:12", "--v": "2"},
+    "kronecker": {"--backend": "fpt:5", "--us": "t,t+1", "--u": "t"},
+}
+
+
+@pytest.mark.parametrize("action, left_out", [
+    (action, flag) for action, flags in ZARISKI_CALLS.items() for flag in flags
+])
+def test_zariski_missing_flag_exit_2_without_traceback(action, left_out):
+    argv = [a for flag, value in ZARISKI_CALLS[action].items() if flag != left_out
+            for a in (flag, value)]
+    proc = _cli("zariski", action, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: zariski {action} needs {left_out}\n"
+
+
+def test_zariski_calls_with_every_flag_answer(capsys):
+    for action, flags in ZARISKI_CALLS.items():
+        code, _, err = run(capsys, "zariski", action, *itertools.chain(*flags.items()))
+        assert code == 0 and not err, action
 
 
 def _deep_sum(term):

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from oracles import fp_free_columns, fp_solutions, pgcd, ptrim
 
-from skewpbw.catalog import build
+from skewpbw.catalog import build, catalog_names
 from skewpbw.errors import DimensionMismatch, UnsupportedCoefficientRing
 from skewpbw.matrices import (
     PolyMatrix,
     UnimodularCertificate,
+    _chain_products,
     elementary_matrix,
     find_left_inverse_column,
     find_right_inverse_row,
@@ -22,7 +23,7 @@ from skewpbw.matrices import (
     verify_completion_rect,
     verify_inverse,
 )
-from skewpbw.pbw import SkewPoly
+from skewpbw.pbw import SkewPoly, monomials_up_to
 from skewpbw.rings import PrimeField, Rationals
 
 
@@ -265,3 +266,17 @@ def test_solve_linear_over_q_rank_deficient_and_inconsistent():
                 for k, r in enumerate(rows)]
         rhs, bad = ([v if k != i else d * v + c * vec[j] for k, v in enumerate(vec)]
                     for vec in (rhs, bad))
+
+
+@pytest.mark.parametrize("rationals", [False, True], ids=["F7", "Q"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_chain_products_match_full_products(name, rationals):
+    P = build(name, rationals=True) if rationals else build(name, p=7)
+    basis = monomials_up_to(P.n, 3)
+    rng = random.Random(31)
+    for _ in range(4):
+        u = P.random_poly(rng, 2)
+        assert _chain_products(P, basis, u.terms, "right") == [
+            (u * P.monomial(b)).terms for b in basis]
+        assert _chain_products(P, basis, u.terms, "left") == [
+            (P.monomial(b) * u).terms for b in basis]

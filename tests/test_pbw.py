@@ -1,4 +1,5 @@
 import random
+from math import comb, factorial
 
 import pytest
 from oracles import naive_normalize, random_word
@@ -8,6 +9,7 @@ from skewpbw.errors import SemanticError
 from skewpbw.pbw import (
     NEG_INF,
     Presentation,
+    SkewPoly,
     associated_graded,
     is_quasi_commutative,
     validate_presentation,
@@ -231,3 +233,73 @@ def test_mixed_coefficient_words():
     for _ in range(60):
         word = random_word(P, rng, max_len=6)
         assert P.from_word(word).terms == naive_normalize(P, word)
+
+
+RIGHT_PRODUCT_ALGEBRAS = [(name, {}) for name in catalog_names()] + [
+    ("weyl", {"n": 2}), ("q-heisenberg", {"n": 2}), ("multiplicative-analogue", {"n": 3}),
+]
+
+
+@pytest.mark.parametrize("rationals", [False, True], ids=["F7", "Q"])
+@pytest.mark.parametrize("name, params", RIGHT_PRODUCT_ALGEBRAS,
+                         ids=[f"{n}{p.get('n', '')}" for n, p in RIGHT_PRODUCT_ALGEBRAS])
+def test_right_variable_product_matches_full_product(name, params, rationals):
+    P = build(name, rationals=True, **params) if rationals else build(name, p=7, **params)
+    rng = random.Random(29)
+    for _ in range(12):
+        f = P.random_poly(rng, 3)
+        for j in range(P.n):
+            assert P._rmul_var_dict(f.terms, j) == (f * P.var(j)).terms
+    f = P.random_poly(rng, 2)
+    for j in range(P.n):  # and against the one-rule rewriter, word by word
+        want = P.zero()
+        for m, c in f.terms.items():
+            word = [("c", c)] + [("v", i) for i, e in enumerate(m) for _ in range(e)] + [("v", j)]
+            want = want + SkewPoly(P, naive_normalize(P, word))
+        assert P._rmul_var_dict(f.terms, j) == want.terms
+
+
+def _weyl_closed_form(R, a, b):
+    """x^a t^b = sum_k k! C(a,k) C(b,k) t^(b-k) x^(a-k) in A_1, variables ordered (t, x)."""
+    out = {}
+    for k in range(min(a, b) + 1):
+        c = R.from_int(factorial(k) * comb(a, k) * comb(b, k))
+        if c != R.zero:
+            out[(b - k, a - k)] = c
+    return out
+
+
+CLOSED_FORM_GRID = [(a, b) for a in (0, 1, 2, 3, 7, 12, 25, 40) for b in (0, 1, 2, 5, 9, 17, 40)]
+
+
+@pytest.mark.parametrize("kw, grid", [
+    ({"p": 7}, [(a, b) for a in range(41) for b in range(41)]),
+    ({"p": 101}, CLOSED_FORM_GRID),
+    ({"rationals": True}, CLOSED_FORM_GRID),
+], ids=["F7-all", "F101", "Q"])
+def test_weyl_closed_form(kw, grid):
+    P = build("weyl", **kw)
+    assert P.names == ("t", "x")
+    for a, b in grid:
+        want = _weyl_closed_form(P.ring, a, b)
+        assert (P.monomial((0, a)) * P.monomial((b, 0))).terms == want, (a, b)
+        right = P.monomial((0, a)).terms
+        for _ in range(b):
+            right = P._rmul_var_dict(right, 0)
+        assert right == want, (a, b)
+
+
+@pytest.mark.parametrize("kw", [{"p": 7}, {"p": 101}, {"rationals": True}], ids=["F7", "F101", "Q"])
+def test_quantum_plane_closed_form(kw):
+    # y^a x^b = q^(ab) x^b y^a, variables ordered (x, y)
+    q = 3
+    P = build("quantum-plane", q=q, **kw)
+    assert P.names == ("x", "y")
+    for a in range(41):
+        for b in range(41):
+            want = {(b, a): P.ring.from_int(q ** (a * b))}
+            assert (P.monomial((0, a)) * P.monomial((b, 0))).terms == want, (a, b)
+        right = P.monomial((0, a)).terms
+        for b in range(41):
+            assert right == {(b, a): P.ring.from_int(q ** (a * b))}, (a, b)
+            right = P._rmul_var_dict(right, 0)
