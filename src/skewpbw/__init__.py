@@ -20,6 +20,7 @@ from .errors import (
     InfiniteRing,
     InvalidRing,
     KindMismatch,
+    LimitExceeded,
     MissingDimR,
     NotAUnit,
     NotFoundWithinBound,

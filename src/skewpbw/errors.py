@@ -60,5 +60,9 @@ class PreconditionFailed(SkewPBWError):
     pass
 
 
+class LimitExceeded(SkewPBWError):
+    """A computation would need more than a fixed limit allows."""
+
+
 class NotFoundWithinBound(SkewPBWError):
     """A certificate exists but was not found within the requested degree bound."""

@@ -12,9 +12,28 @@ together with per-variable endomorphism/derivation actions on coefficients:
 
 Rewriting terminates: each step either lowers total degree or keeps it while
 strictly reducing the number of out-of-order adjacent variable pairs.  The
-engine evaluates words right-to-left through cached single-variable products,
-which realizes an innermost-leftmost strategy with deterministic output.
-Right products by one variable, x^alpha x_j, share that monomial cache.
+engine evaluates words right-to-left, with deterministic output: a word one
+variable at a time, and a product x^alpha * g one power x_i^a at a time, each
+through cached products.  Right products by one variable, x^alpha x_j, share
+that monomial cache.
+
+The power step x_i^a * x^mono splits x^mono at its first variable x_j.  When
+j < i and the pair's rewrite x_i x_j -> c x_j x_i + lower has one of these
+shapes,
+
+    no lower terms            x_i^a x_j^m = c^(am) x_j^m x_i^a
+    c = 1, lower term g       x_i^a x_j^m = sum_k k! C(a,k) C(m,k) g^k x_j^(m-k) x_i^(a-k)
+    c = 1, lower term A x_j   x_i^a x_j^m = x_j^m (x_i + mA)^a
+    c = 1, lower term B x_i   x_i^a x_j^m = (x_j + aB)^m x_i^a
+
+the closed form is used, and each resulting x_j^p (x_i^q x^rest) is again a
+power step.  The closed forms hold when the scalars are central, so they are
+used only over a field without a coefficient generator (F_p or Q), where
+every sigma is the identity and every delta is zero.  Every other pair and
+ring, and every power a = 1, takes `a` single steps x_i * (...).  The closed
+forms assume that the rewrites give a PBW basis, as `validate_presentation`
+decides.  Over Q a closed-form power whose coefficients would take more than
+MAX_POWER_BITS bits in all is refused with `LimitExceeded`.
 
 Presentations and polynomials are immutable; all operations are pure, so
 independent products may be evaluated concurrently with identical results.
@@ -26,12 +45,14 @@ import math
 from dataclasses import dataclass, field
 
 from . import rings
-from .errors import SemanticError
+from .errors import LimitExceeded, SemanticError
 from .rings import DerivationSpec, EndoSpec, Ring
 
 NEG_INF = -math.inf
 
 DEFAULT_SEED = 101
+
+MAX_POWER_BITS = 1 << 23  # coefficient bits, summed, of one closed-form power over Q
 
 Monomial = tuple  # exponent vector, length n
 
@@ -177,6 +198,13 @@ class Presentation:
         self._desc = None
         self._sigma_triv = tuple(s.is_identity for s in self.sigma)
         self._delta_zero = tuple(d.is_zero for d in self.delta)
+        # closed-form shape per pair (j, i), see the module doc; a ring without a
+        # generator admits only the identity sigma and the zero delta
+        self._pair_forms = None
+        if ring.is_field and ring.generator is None:
+            self._pair_forms = {
+                pair: _pair_form(ring, *pair, self.c[pair], self.lower[pair]) for pair in self.c
+            }
 
     # -- identity and constructors -------------------------------------------------
 
@@ -214,9 +242,10 @@ class Presentation:
         return SkewPoly(self, {(0,) * self.n: r})
 
     def var(self, which) -> SkewPoly:
-        i = self.names.index(which) if isinstance(which, str) else which
-        m = tuple(1 if k == i else 0 for k in range(self.n))
-        return SkewPoly(self, {m: self.ring.one})
+        i = self.var_index(which) if isinstance(which, str) else which
+        if not 0 <= i < self.n:
+            raise SemanticError(f"variable index {i} is out of range 0..{self.n - 1}")
+        return SkewPoly(self, {bump((0,) * self.n, i): self.ring.one})
 
     def monomial(self, exponents, coeff=None) -> SkewPoly:
         m = tuple(exponents)
@@ -303,6 +332,59 @@ class Presentation:
             _acc_scaled(R, out, cf, self._mono_rmul(m, j))
         return out
 
+    def _lpow_dict(self, i: int, a: int, terms: dict) -> dict:
+        """x_i^a * (sum c_m x^m): a power step where the pair allows one.
+
+        Terms whose first variable x_j has j >= i are already normal after
+        x_i^a; terms whose pair (j, i) has a closed form take it.  The rest,
+        and every term when a <= 1 or the ring has no closed forms, take `a`
+        single steps together, as `_lmul_var_dict` gives them.
+        """
+        if a <= 1 or self._pair_forms is None:
+            for _ in range(a):
+                terms = self._lmul_var_dict(i, terms)
+            return terms
+        R = self.ring
+        out: dict = {}
+        stepped: dict = {}
+        for m, cf in terms.items():
+            j = next((k for k, e in enumerate(m) if e), i)
+            if j >= i:
+                _acc_term(R, out, bump(m, i, a), cf)
+            elif self._pair_forms[(j, i)] is None:
+                stepped[m] = cf
+            else:
+                _acc_scaled(R, out, cf, self._mono_lpow(i, a, m, j))
+        if stepped:
+            for _ in range(a):
+                stepped = self._lmul_var_dict(i, stepped)
+            for m, cf in stepped.items():
+                _acc_term(R, out, m, cf)
+        return out
+
+    def _mono_lpow(self, i: int, a: int, mono: Monomial, j: int) -> dict:
+        """x_i^a * x^mono (cached) where x_j, j < i, is the first variable of
+        x^mono and the pair (j, i) has a closed form.
+
+        With x^mono = x_j^m x^rest, x_i^a x_j^m = sum c x_j^p x_i^q gives
+        x_i^a x^mono = sum c x_j^p (x_i^q x^rest), two more power steps per
+        term.  Keys (i, a, mono) share `_mono_cache` with the single products'
+        keys (i, mono) and (mono, j) without colliding.
+        """
+        key = (i, a, mono)
+        hit = self._mono_cache.get(key)
+        if hit is not None:
+            return hit
+        R = self.ring
+        m = mono[j]
+        rest = bump(mono, j, -m)
+        label = f"{self.names[i]}^{a}*{self.names[j]}^{m}"
+        out: dict = {}
+        for cf, p, q in _closed_power(R, self._pair_forms[(j, i)], a, m, label):
+            _acc_scaled(R, out, cf, self._lpow_dict(j, p, self._lpow_dict(i, q, {rest: R.one})))
+        self._mono_cache[key] = out
+        return out
+
     def _lmul_scalar_dict(self, r, terms: dict) -> dict:
         R = self.ring
         out = {}
@@ -339,8 +421,7 @@ class Presentation:
         for alpha, cf in f.terms.items():
             part = g.terms
             for i in range(self.n - 1, -1, -1):
-                for _ in range(alpha[i]):
-                    part = self._lmul_var_dict(i, part)
+                part = self._lpow_dict(i, alpha[i], part)
             _acc_scaled(R, out, cf, part)
         return SkewPoly(self, out)
 
@@ -374,6 +455,99 @@ def _acc_term(R, out: dict, m: Monomial, c):
 def _acc_scaled(R, out: dict, r, terms: dict):
     for m, c in terms.items():
         _acc_term(R, out, m, R.mul(r, c))
+
+
+def _pair_form(R, j: int, i: int, cv, lower):
+    """Closed-form shape of the rewrite x_i x_j -> cv x_j x_i + lower (j < i), or None."""
+    d0, dks = lower
+    lows = [k for k, dk in enumerate(dks) if dk != R.zero]
+    if d0 == R.zero and not lows:
+        return ("q", cv)
+    if cv != R.one:
+        return None
+    if not lows:
+        return ("weyl", d0)
+    if d0 == R.zero and lows == [j]:
+        return ("left", dks[j])  # x_i x_j = x_j (x_i + A)
+    if d0 == R.zero and lows == [i]:
+        return ("right", dks[i])  # x_i x_j = (x_j + B) x_i
+    return None
+
+
+def _closed_power(R, form, a: int, m: int, label: str) -> list:
+    """x_i^a x_j^m = sum cf x_j^p x_i^q for a pair of the given shape, as
+    triples (cf, p, q) with cf nonzero.
+
+    Each coefficient is a few field operations from the one before.  Over F_p,
+    k! vanishes from k = p on, so a Weyl power takes O(min(a, m, p))
+    operations.  Over Q, whose coefficients grow without bound, a power whose
+    coefficients take more than MAX_POWER_BITS bits in all is refused.
+    """
+    kind, v = form
+    if kind == "q":  # v^(am) takes am log2|n d| bits for v = n/d: refuse it before computing it
+        if R.size is None:
+            _check_bits(R, a * m * math.log2(abs(v.numerator) * v.denominator), label)
+        return [(R.pow(v, a * m), m, a)]
+    if kind == "weyl":
+        terms = ((cf, m - k, a - k) for k, cf in enumerate(_weyl_coeffs(R, v, a, m)))
+    elif kind == "left":  # x_j^m sum_t C(a,t) (mA)^t x_i^(a-t)
+        terms = ((cf, m, a - t) for t, cf in enumerate(_binomial_terms(R, a, R.mul(R.from_int(m), v))))
+    else:  # sum_t C(m,t) (aB)^t x_j^(m-t) x_i^a
+        terms = ((cf, m - t, a) for t, cf in enumerate(_binomial_terms(R, m, R.mul(R.from_int(a), v))))
+    out, bits = [], 0
+    for term in terms:
+        cf = term[0]
+        if cf != R.zero:
+            if R.size is None:
+                bits += cf.numerator.bit_length() + cf.denominator.bit_length()
+                _check_bits(R, bits, label)
+            out.append(term)
+    return out
+
+
+def _weyl_coeffs(R, g, a: int, m: int):
+    """k! C(a,k) C(m,k) g^k for k = 0, 1, ... until it vanishes (in F_p, from k = p on)."""
+    top = min(a, m) if R.size is None else min(a, m, R.size - 1)
+    cf = R.one
+    for k in range(top + 1):
+        if k:  # k < p over F_p, so k is a unit
+            cf = R.mul(R.mul(cf, g), R.mul(R.from_int((a - k + 1) * (m - k + 1)), R.inv(R.from_int(k))))
+        if cf == R.zero:
+            return
+        yield cf
+
+
+def _binomial_terms(R, n: int, s):
+    """C(n,t) s^t for t = 0..n, stopping early when s = 0.
+
+    C(n,t) = C(n,t-1) (n-t+1)/t; over F_p the factors p of each numerator and
+    denominator are counted apart, so every step divides by a unit, and C(n,t)
+    is zero in F_p exactly while that count is positive.
+    """
+    p = R.size
+    unit, val, st = R.one, 0, R.one
+    for t in range(n + 1):
+        if t:
+            num, den = n - t + 1, t
+            while p and num % p == 0:
+                num //= p
+                val += 1
+            while p and den % p == 0:
+                den //= p
+                val -= 1
+            unit = R.mul(unit, R.mul(R.from_int(num), R.inv(R.from_int(den))))
+            st = R.mul(st, s)
+            if st == R.zero:
+                return
+        yield R.zero if val else R.mul(unit, st)
+
+
+def _check_bits(R, bits: float, label: str):
+    if bits > MAX_POWER_BITS:
+        raise LimitExceeded(
+            f"{label} needs coefficients of more than {MAX_POWER_BITS} bits over {R.describe()}, "
+            "the limit for one power product"
+        )
 
 
 def monomials_up_to(n: int, degree_bound: int) -> list[Monomial]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -178,8 +179,8 @@ def _deep_sum(term):
     (("normalize", "--algebra", "weyl", "--p", "7", _deep_sum("x")), None),
     (("zariski", "D", "--ring", "Zmod:12", "--gens", _deep_sum("1")), None),
     (("check", "--file"), f"rel y x = x y + {_deep_sum('1')}"),
-    (("normalize", "--algebra", "weyl", "--p", "7", "x^1000*t^1000"), None),
-], ids=["normalize-sum", "D-sum", "rel-sum", "normalize-degree-2000"])
+    (("normalize", "--algebra", "usl2", "--p", "7", "f^1000*e^1000"), None),
+], ids=["normalize-sum", "D-sum", "rel-sum", "normalize-generic-pair-degree-2000"])
 def test_too_deep_input_exit_2(tmp_path, argv, rel):
     if rel is not None:
         pres = tmp_path / "deep.pres"
@@ -187,6 +188,36 @@ def test_too_deep_input_exit_2(tmp_path, argv, rel):
         argv = argv + (str(pres),)
     proc = _cli(*argv)
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+
+
+def test_weyl_degree_2000_answers_with_closed_form():
+    # x^a t^a = sum_k k! C(a,k)^2 t^(a-k) x^(a-k); over F_7 k! = 0 from k = 7 on
+    proc = _cli("normalize", "--algebra", "weyl", "--p", "7", "x^1000*t^1000")
+    want = [(factorial(k) * comb(1000, k) ** 2 % 7, 1000 - k) for k in range(7)]
+    assert proc.returncode == 0 and not proc.stderr
+    assert proc.stdout == " + ".join(
+        (f"{c}*" if c != 1 else "") + f"t^{e}*x^{e}" for c, e in want if c
+    ) + "\n"
+
+
+@pytest.mark.parametrize("algebra, expr", [
+    ("weyl", "x^50000*t^50000"),
+    ("quantum-plane", "y^50000*x^50000"),
+])
+def test_unbounded_closed_form_power_exit_2(algebra, expr):
+    proc = _cli("normalize", "--algebra", algebra, "--rationals", expr, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", ["7", "1000003"])
+def test_huge_weyl_power_over_fp_answers_or_exit_2(p):
+    proc = _cli("normalize", "--algebra", "weyl", "--p", p, "x^50000*t^50000", timeout=5)
+    assert proc.returncode in (0, 2)
+    if proc.returncode == 0:
+        assert proc.stdout.startswith("t^50000*x^50000 + ")
+    else:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_relation_power_answers_promptly(tmp_path):

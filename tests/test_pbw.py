@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb, factorial
 
 import pytest
@@ -6,6 +7,7 @@ from oracles import naive_normalize, random_word
 
 from skewpbw.catalog import build, catalog_names
 from skewpbw.errors import SemanticError
+from skewpbw.parsing import parse_presentation
 from skewpbw.pbw import (
     NEG_INF,
     Presentation,
@@ -303,3 +305,87 @@ def test_quantum_plane_closed_form(kw):
         for b in range(41):
             assert right == {(b, a): P.ring.from_int(q ** (a * b))}, (a, b)
             right = P._rmul_var_dict(right, 0)
+
+
+def _stepwise(P, alpha, terms):
+    """x^alpha * terms one variable at a time, as products were formed before power steps."""
+    for i in range(P.n - 1, -1, -1):
+        for _ in range(alpha[i]):
+            terms = P._lmul_var_dict(i, terms)
+    return terms
+
+
+def _stepwise_product(P, f, g):
+    out = P.zero()
+    for alpha, c in f.terms.items():
+        out = out + SkewPoly(P, _stepwise(P, alpha, g.terms)).scale_left(c)
+    return out
+
+
+# Two-variable presentations for pair shapes no catalog algebra has: a lower
+# term B x_i in the larger variable (y x = x y + 3y = (x + 3) y) and a Weyl
+# pair with a constant other than 1, which have closed forms, and two mixed
+# lower parts, which have none; plus a lower term A x_j in the smaller variable.
+HAND_WRITTEN_RELS = ["x y + 3*y", "x y + 5", "x y + 3*y + 2", "x y + 3*x + 2", "x y + 3*x"]
+POWER_ALGEBRAS = RIGHT_PRODUCT_ALGEBRAS + [("rel", {"rhs": rhs}) for rhs in HAND_WRITTEN_RELS]
+
+
+def _power_algebra(name, params, rationals):
+    if name == "rel":
+        ring = "Q" if rationals else "Fp 7"
+        return parse_presentation(f"ring {ring}\nvars x y\nrel y x = {params['rhs']}\n")
+    return build(name, rationals=True, **params) if rationals else build(name, p=7, **params)
+
+
+@pytest.mark.parametrize("rationals", [False, True], ids=["F7", "Q"])
+@pytest.mark.parametrize("name, params", POWER_ALGEBRAS,
+                         ids=[f"{n}{p.get('n', '')}" if n != "rel" else f"rel[{p['rhs']}]"
+                              for n, p in POWER_ALGEBRAS])
+def test_power_step_matches_single_steps(name, params, rationals):
+    P = _power_algebra(name, params, rationals)
+    unit = lambda k, e: tuple(e if v == k else 0 for v in range(P.n))  # noqa: E731
+    for j in range(P.n):
+        for i in range(j):
+            for a in range(13):
+                for b in range(13):
+                    got = (P.monomial(unit(j, a)) * P.monomial(unit(i, b))).terms
+                    want = {unit(i, b): P.ring.one}
+                    for _ in range(a):
+                        want = P._lmul_var_dict(j, want)
+                    assert got == want, (P.names[j], a, P.names[i], b)
+                    if a <= 4 and b <= 4 and a + b <= 6:  # the rewriter is exponential in a + b
+                        word = [("v", j)] * a + [("v", i)] * b
+                        assert got == naive_normalize(P, word), (P.names[j], a, P.names[i], b)
+    rng = random.Random(31)
+    for _ in range(12):
+        f, g = P.random_poly(rng, 3), P.random_poly(rng, 3)
+        assert f * g == _stepwise_product(P, f, g)
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_closed_forms_at_degree_2000(p):
+    a = 2000
+    P = build("weyl", p=p)
+    want = {}
+    for k in range(a + 1):
+        c = factorial(k) * comb(a, k) ** 2 % p
+        if c:
+            want[(a - k, a - k)] = c
+    start = time.perf_counter()
+    got = P.monomial((0, a)) * P.monomial((a, 0))
+    assert time.perf_counter() - start < 1.0
+    assert got.terms == want and len(P._mono_cache) < 4
+
+    q = 3
+    P = build("quantum-plane", p=p, q=q)
+    start = time.perf_counter()
+    got = P.monomial((0, a)) * P.monomial((a, 0))
+    assert time.perf_counter() - start < 1.0
+    assert got.terms == {(a, a): pow(q, a * a, p)} and len(P._mono_cache) < 4
+
+
+def test_var_rejects_unknown_names_and_indices(weyl7):
+    assert weyl7.var(1) == weyl7.var("x")
+    for bad in (5, -1, 2, "zz"):
+        with pytest.raises(SemanticError):
+            weyl7.var(bad)
