@@ -42,6 +42,7 @@ independent products may be evaluated concurrently with identical results.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import rings
@@ -481,12 +482,14 @@ def _closed_power(R, form, a: int, m: int, label: str) -> list:
     Each coefficient is a few field operations from the one before.  Over F_p,
     k! vanishes from k = p on, so a Weyl power takes O(min(a, m, p))
     operations.  Over Q, whose coefficients grow without bound, a power whose
-    coefficients take more than MAX_POWER_BITS bits in all is refused.
+    coefficients take more than MAX_POWER_BITS bits in all is refused, and so
+    is a power with one coefficient too long to print (see `_check_digits`).
     """
     kind, v = form
     if kind == "q":  # v^(am) takes am log2|n d| bits for v = n/d: refuse it before computing it
         if R.size is None:
             _check_bits(R, a * m * math.log2(abs(v.numerator) * v.denominator), label)
+            _check_digits(R, a * m * math.log10(max(abs(v.numerator), v.denominator)), label)
         return [(R.pow(v, a * m), m, a)]
     if kind == "weyl":
         terms = ((cf, m - k, a - k) for k, cf in enumerate(_weyl_coeffs(R, v, a, m)))
@@ -501,6 +504,7 @@ def _closed_power(R, form, a: int, m: int, label: str) -> list:
             if R.size is None:
                 bits += cf.numerator.bit_length() + cf.denominator.bit_length()
                 _check_bits(R, bits, label)
+                _check_digits(R, math.log10(max(abs(cf.numerator), cf.denominator)), label)
             out.append(term)
     return out
 
@@ -547,6 +551,22 @@ def _check_bits(R, bits: float, label: str):
         raise LimitExceeded(
             f"{label} needs coefficients of more than {MAX_POWER_BITS} bits over {R.describe()}, "
             "the limit for one power product"
+        )
+
+
+def _check_digits(R, digits: float, label: str):
+    """Refuse a Q coefficient too long for Python to print: `digits` is log10
+    of the larger of its numerator and denominator, which has more decimal
+    digits than the limit exactly when `digits` reaches it.
+
+    A q-power is checked before it is computed, and each Weyl or shift
+    coefficient before the next is computed from it.
+    """
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and digits >= limit:
+        raise LimitExceeded(
+            f"{label} needs a coefficient of more than {limit} decimal digits over {R.describe()}, "
+            "the limit sys.get_int_max_str_digits() sets for printing an integer"
         )
 
 

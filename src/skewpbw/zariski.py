@@ -111,7 +111,9 @@ class FiniteCommRing:
         self.source: Ring | None = None  # ring whose syntax and format the elements follow
         self._ideals = None
         self._primes = None
+        self._prime_masks = None
         self._zar = None
+        self._joins = {}  # ideal mask -> [I + <g> by element index g, None until filled]
 
     def add(self, a, b):
         index = self.index
@@ -135,24 +137,27 @@ class FiniteCommRing:
         els, n = self.elements, self.size
         A, M = self.add_table, self.mul_table
         if n <= _EXHAUSTIVE_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
+            triples = ((a, b, range(n)) for a in range(n) for b in range(n))
             pairs = itertools.product(range(n), repeat=2)
         else:
             rng = random.Random(9)
-            triples = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(4000))
+            triples = ((rng.randrange(n), rng.randrange(n), (rng.randrange(n),)) for _ in range(4000))
             pairs = (tuple(rng.randrange(n) for _ in range(2)) for _ in range(4000))
         for a, b in pairs:
             if A[a][b] != A[b][a]:
                 raise InvalidRing(f"addition not commutative at {(els[a], els[b])!r}")
             if M[a][b] != M[b][a]:
                 raise InvalidRing(f"multiplication not commutative at {(els[a], els[b])!r}")
-        for a, b, c in triples:
-            if A[A[a][b]][c] != A[a][A[b][c]]:
-                raise InvalidRing(f"addition not associative at {(els[a], els[b], els[c])!r}")
-            if M[M[a][b]][c] != M[a][M[b][c]]:
-                raise InvalidRing(f"multiplication not associative at {(els[a], els[b], els[c])!r}")
-            if M[a][A[b][c]] != A[M[a][b]][M[a][c]]:
-                raise InvalidRing(f"distributivity fails at {(els[a], els[b], els[c])!r}")
+        for a, b, cs in triples:  # the rows of a, b, a + b and a b serve every c
+            Aa, Ma, Ab, Mb = A[a], M[a], A[b], M[b]
+            Aab, Mab, AMab = A[Aa[b]], M[Ma[b]], A[Ma[b]]
+            for c in cs:
+                if Aab[c] != Aa[Ab[c]]:
+                    raise InvalidRing(f"addition not associative at {(els[a], els[b], els[c])!r}")
+                if Mab[c] != Ma[Mb[c]]:
+                    raise InvalidRing(f"multiplication not associative at {(els[a], els[b], els[c])!r}")
+                if Ma[Ab[c]] != AMab[Ma[c]]:
+                    raise InvalidRing(f"distributivity fails at {(els[a], els[b], els[c])!r}")
         for a in range(n):
             if A[a][self.zero_i] != a or M[a][self.one_i] != a:
                 raise InvalidRing(f"identity laws fail at {els[a]!r}")
@@ -278,31 +283,51 @@ class IdealFin:
 def _sum(ring: FiniteCommRing, I: int, J: int) -> int:
     """I + J for ideal masks: the cosets of I through the members of J."""
     A = ring.add_table
-    members = _bits(I)
-    out = I
-    for b in _bits(J):
-        if not out >> b & 1:  # out is a union of cosets of I, so b's coset is new
-            row = A[b]
-            for a in members:
-                out |= 1 << row[a]
+    out, rest = I, J & ~I
+    members = _bits(I) if rest else ()
+    while rest:  # out is a union of cosets of I, so the coset of each b left is new
+        row = A[(rest & -rest).bit_length() - 1]
+        for a in members:
+            out |= 1 << row[a]
+        rest &= ~out
+    return out
+
+
+def _join(ring: FiniteCommRing, I: int, g: int) -> int:
+    """I + <g> for an ideal mask and an element index, read from `ring._joins`.
+
+    Each entry is filled once by `_sum`, so the table holds at most
+    (number of ideals) x n entries.
+    """
+    row = ring._joins.get(I)
+    if row is None:
+        row = ring._joins[I] = [None] * ring.size
+    out = row[g]
+    if out is None:
+        out = row[g] = _sum(ring, I, ring.principal[g])
     return out
 
 
 def _ideal(ring: FiniteCommRing, gens: int) -> int:
-    """Mask of the ideal generated by a mask: the sum of the principal ideals."""
+    """Mask of the ideal generated by a mask: the sum of the principal ideals,
+    joining <g> for the least generator g outside the ideal so far."""
     out = 1 << ring.zero_i
-    for g in _bits(gens):
-        if not out >> g & 1:
-            out = _sum(ring, out, ring.principal[g])
+    rest = gens & ~out
+    while rest:
+        out = _join(ring, out, (rest & -rest).bit_length() - 1)
+        rest &= ~out
     return out
 
 
 def _radical(ring: FiniteCommRing, gens: int) -> int:
     """D of a mask: the meet of the primes that contain it (the whole ring if none)."""
+    primes = ring._prime_masks
+    if primes is None:
+        primes = ring._prime_masks = tuple(P.mask for P in enumerate_primes(ring))
     out = ring.full
-    for P in enumerate_primes(ring):
-        if gens & ~P.mask == 0:
-            out &= P.mask
+    for P in primes:
+        if gens & ~P == 0:
+            out &= P
     return out
 
 
@@ -397,13 +422,20 @@ def _zar_elements(ring: FiniteCommRing) -> list[int]:
 
 
 def _ideal_product(ring: FiniteCommRing, I: int, J: int) -> int:
+    """IJ for masks: the ideal generated by the products g b, b in J, over
+    generators g of I (picked as `_ideal` picks them), since each a in I is a
+    combination sum r_k g_k and so a b = sum r_k (g_k b)."""
     M = ring.mul_table
     right = _bits(J)
-    prods = 0
-    for a in _bits(I):
-        row = M[a]
+    prods, span = 0, 1 << ring.zero_i
+    rest = I & ~span
+    while rest:
+        g = (rest & -rest).bit_length() - 1
+        row = M[g]
         for b in right:
             prods |= 1 << row[b]
+        span = _join(ring, span, g)
+        rest &= ~span
     return _ideal(ring, prods)
 
 
@@ -414,14 +446,30 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     generators-vs-ideal law enumerates every subset only for rings with at
     most 16 elements and falls back to seeded sampling above that.  Ideals
     and D-values are compared as masks; elements are indices.
+
+    Some laws read tables instead of recomputing.  Every ideal comes through
+    the ring's join table (`_join`); D of an ideal or D-value mask is
+    memoized for the call, while the 2^n subsets of law (i) and other raw
+    masks go to `_radical`; law (v) reads, for each D-value, which D-values
+    lie above it; law (xii) reads D(Z | W) for pairs of D-values from a
+    table filled once.  Each table caches a pure function of masks, and each
+    law still visits and counts every one of its cases, so verdicts, counts
+    and failures are those of computing every D afresh.
     """
     rng = random.Random(seed)
     els, n = ring.elements, ring.size
     A, M = ring.add_table, ring.mul_table
     ideals = all_ideals(ring)
 
-    def D(mask):
-        return _radical(ring, mask)
+    memo = {}
+
+    def D(mask):  # for ideal and D-value masks; other masks call _radical
+        out = memo.get(mask)
+        if out is None:
+            out = memo[mask] = _radical(ring, mask)
+        return out
+
+    dx = [_radical(ring, 1 << x) for x in range(n)]  # D of each element
 
     rad = D(0)
     results = []
@@ -447,7 +495,7 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
         subsets = [_mask(rng.sample(range(n), rng.randint(0, min(3, n)))) for _ in range(400)]
     for X in subsets:
         cases += 1
-        if D(X) != D(_ideal(ring, X)):
+        if _radical(ring, X) != D(_ideal(ring, X)):
             fails.append(repr(tuple(els[i] for i in _bits(X))))
     law("generating-set-vs-ideal", cases, fails)
 
@@ -482,25 +530,25 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
                 fails.append(f"not monotone at {I.short()},{J.short()}")
     law("closure-operator", cases, fails)
 
-    # (v) D(I + J) is the join, elementwise version included
+    # (v) D(I + J) is the join, elementwise version included.  D(I + J) is
+    # least when every D-value above both D(I) and D(J) also holds it:
+    # above[d] marks, by position in zar, the D-values that contain d.
     fails, cases = [], 0
     zar = _zar_elements(ring)
+    above = {d: _mask(k for k, Z in enumerate(zar) if d & ~Z == 0) for d in set(dvals.values())}
     for I in ideals_used:
         for J in ideals_used:
             cases += 1
-            both = dvals[I.mask] | dvals[J.mask]
-            dij = D(_sum(ring, I.mask, J.mask))
-            if both & ~dij:
+            dI, dJ = dvals[I.mask], dvals[J.mask]
+            dij = D(_ideal(ring, I.mask | J.mask))
+            if (dI | dJ) & ~dij:
                 fails.append(f"{I.short()}+{J.short()} not an upper bound")
-                continue
-            for Z in zar:
-                if both & ~Z == 0 and dij & ~Z:
-                    fails.append(f"{I.short()}+{J.short()} not least")
-                    break
+            elif above[dI] & above[dJ] & ~above[dij]:
+                fails.append(f"{I.short()}+{J.short()} not least")
     for x in elements_used:
         for y in elements_used:
             cases += 1
-            if D(1 << x | 1 << y) != D(D(1 << x) | D(1 << y)):
+            if _radical(ring, 1 << x | 1 << y) != _radical(ring, dx[x] | dx[y]):
                 fails.append(f"join of D({els[x]!r}),D({els[y]!r})")
     law("sum-is-join", cases, fails)
 
@@ -518,7 +566,7 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
     for x in elements_used:
         for y in elements_used:
             cases += 1
-            if D(1 << A[x][y]) & ~D(1 << x | 1 << y):
+            if dx[A[x][y]] & ~_radical(ring, 1 << x | 1 << y):
                 fails.append(f"({els[x]!r},{els[y]!r})")
     law("sum-inside-pair", cases, fails)
 
@@ -529,7 +577,7 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
         for y in elements_used:
             if rad >> M[x][y] & 1:
                 cases += 1
-                if D(1 << x | 1 << y) != D(1 << A[x][y]):
+                if _radical(ring, 1 << x | 1 << y) != dx[A[x][y]]:
                     fails.append(f"({els[x]!r},{els[y]!r})")
     law("orthogonal-sum-equality", cases, fails)
 
@@ -539,7 +587,7 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
         d = dvals[I.mask]
         for x in _bits(d):
             cases += 1
-            if D(I.mask | 1 << x) != d:
+            if _radical(ring, I.mask | 1 << x) != d:
                 fails.append(f"{I.short()} absorb {els[x]!r}")
                 break
     law("member-absorption", cases, fails)
@@ -569,17 +617,26 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
                 fails.append(f"{I.short()} vs {els[u]!r}")
     law("radical-membership-power", cases, fails)
 
-    # (xii) distributivity of the lattice of D-values
-    fails, cases = [], 0
+    # (xii) distributivity of the lattice of D-values.  Values are indexed by
+    # position: zar_used, then any meet of two of them outside it (none in
+    # exhaustive mode when D is right, as meets of radicals are radicals).
+    # Both sides read D(Z | W) from a table of all pairs, filled once.
+    fails = []
     zar_used = zar if not sampled else zar[: min(len(zar), 5)]
-    for Z1 in zar_used:
-        for Z2 in zar_used:
-            for Z3 in zar_used:
+    pos = {Z: i for i, Z in enumerate(zar_used)}
+    meet = [[pos.setdefault(Z & W, len(pos)) for W in zar_used] for Z in zar_used]
+    vals = list(pos)
+    join = [[_radical(ring, Z | W) for W in vals] for Z in vals]
+    cases = 0
+    for a, Z1 in enumerate(zar_used):
+        ja, ma = join[a], meet[a]
+        for b in range(len(zar_used)):
+            jb, mb, jab, jmab = join[b], meet[b], ja[b], join[ma[b]]
+            for jbc, jac, mac, mbc in zip(jb, ja, ma, mb):
                 cases += 1
-                if Z1 & D(Z2 | Z3) != D((Z1 & Z2) | (Z1 & Z3)):
+                if Z1 & jbc != jmab[mac]:
                     fails.append("meet-over-join")
-                    continue
-                if D(Z1 | (Z2 & Z3)) != D(Z1 | Z2) & D(Z1 | Z3):
+                elif ja[mbc] != jab & jac:
                     fails.append("join-over-meet")
     law("distributivity", cases, fails)
 
@@ -592,13 +649,14 @@ def check_lattice_laws(ring: FiniteCommRing, mode: str = "exhaustive", seed: int
 
 
 def _nilpotency_exponent(u: int, ideal: int, ring: FiniteCommRing):
-    """Smallest k >= 1 with u^k in the ideal mask, or None; powers cycle within ring.size steps."""
+    """Smallest k >= 1 with u^k in the ideal mask, or None once the powers repeat."""
     row = ring.mul_table[u]
-    acc = u
-    for k in range(1, ring.size + 2):
+    acc, seen, k = u, 0, 1
+    while not seen >> acc & 1:  # a power seen before starts the cycle again
         if ideal >> acc & 1:
             return k
-        acc = row[acc]
+        seen |= 1 << acc
+        acc, k = row[acc], k + 1
     return None
 
 

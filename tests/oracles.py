@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 
 def naive_normalize(P, atoms):
@@ -339,18 +340,25 @@ def pgcd_many(polys, p):
     return g
 
 
-def radical_by_powers(elements, add, mul, zero, gens):
-    """D(gens) of a finite commutative ring as {a : a^k in <gens> for some k}.
-
-    Works on the raw `add`/`mul` callables: the ideal is the additive closure
-    of all ring multiples of the generators, and powers of each element are
-    followed until they repeat.  No prime is enumerated.
-    """
+def ideal_by_closure(elements, add, mul, zero, gens):
+    """<gens> of a finite commutative ring, on the raw `add`/`mul` callables:
+    the additive closure of all ring multiples of the generators."""
     ideal = {zero}
     frontier = {mul(r, g) for g in gens for r in elements} - ideal
     while frontier:
         ideal |= frontier
         frontier = {add(a, b) for a in frontier for b in ideal} - ideal
+    return frozenset(ideal)
+
+
+def radical_by_powers(elements, add, mul, zero, gens):
+    """D(gens) of a finite commutative ring as {a : a^k in <gens> for some k}.
+
+    Works on the raw `add`/`mul` callables: the ideal comes from
+    `ideal_by_closure`, and powers of each element are followed until they
+    repeat.  No prime is enumerated.
+    """
+    ideal = ideal_by_closure(elements, add, mul, zero, gens)
     out = set()
     for a in elements:
         seen, acc = set(), a
@@ -360,3 +368,40 @@ def radical_by_powers(elements, add, mul, zero, gens):
         if acc in ideal:
             out.add(a)
     return frozenset(out)
+
+
+def ring_law_failure(elements, add, mul, zero, one):
+    """The first ring law that the callables break, as FiniteCommRing words it,
+    or None.
+
+    The rule is FiniteCommRing's: every pair and triple up to 64 elements,
+    else 4000 pairs and then 4000 triples drawn from Random(9).  Each law is
+    evaluated on the callables themselves, not on tables.
+    """
+    els = list(elements)
+    n = len(els)
+    if n <= 64:
+        pairs = list(itertools.product(range(n), repeat=2))
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(9)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(4000)]
+        triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(4000)]
+    for i, j in pairs:
+        a, b = els[i], els[j]
+        if add(a, b) != add(b, a):
+            return f"addition not commutative at {(a, b)!r}"
+        if mul(a, b) != mul(b, a):
+            return f"multiplication not commutative at {(a, b)!r}"
+    for i, j, k in triples:
+        a, b, c = els[i], els[j], els[k]
+        if add(add(a, b), c) != add(a, add(b, c)):
+            return f"addition not associative at {(a, b, c)!r}"
+        if mul(mul(a, b), c) != mul(a, mul(b, c)):
+            return f"multiplication not associative at {(a, b, c)!r}"
+        if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+            return f"distributivity fails at {(a, b, c)!r}"
+    for a in els:
+        if add(a, zero) != a or mul(a, one) != a:
+            return f"identity laws fail at {a!r}"
+    return None

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from math import comb, factorial
 from pathlib import Path
 
@@ -188,6 +190,39 @@ def test_too_deep_input_exit_2(tmp_path, argv, rel):
         argv = argv + (str(pres),)
     proc = _cli(*argv)
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+
+
+F2_7 = "*".join(["prod:Fp:2"] * 6 + ["Fp:2"])
+# SHA-256 of the report without wall_time_s, taken from the law checks that
+# recomputed every ideal and radical from bit lists (24 s); the tables must
+# leave every verdict and detail as it was.
+F2_7_LAWS_SHA256 = "73c4f36e001817be10a7bb62283b838c317f9348582ce88f3cf914a434426083"
+
+
+def test_exhaustive_laws_on_f2_7_answer_within_20_s():
+    proc = _cli("zariski", "laws", "--ring", F2_7, "--json", timeout=20)
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    report.pop("wall_time_s")
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == F2_7_LAWS_SHA256
+
+
+def test_q_power_too_long_to_print_exit_2_promptly():
+    # q^(2295^2) for q = 3 has 2.5 million digits: refused before it is computed
+    start = time.perf_counter()
+    proc = _cli("normalize", "--algebra", "quantum-plane", "--rationals", "y^2295*x^2295")
+    assert proc.returncode == 2 and time.perf_counter() - start < 1.0
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and f"{sys.get_int_max_str_digits()} decimal digits" in line
+    # 3^(95*95) has 4306 digits and 3^(94*95) has 4261, so the first is refused
+    limit = sys.get_int_max_str_digits()
+    proc = _cli("normalize", "--algebra", "quantum-plane", "--rationals", "y^95*x^95")
+    assert proc.returncode == 2 and f"{limit} decimal digits" in proc.stderr
+    proc = _cli("normalize", "--algebra", "quantum-plane", "--rationals", "y^94*x^95")
+    assert proc.returncode == 0 and proc.stdout.startswith(str(3 ** (94 * 95)) + "*x^95*y^94")
+    # the Weyl closed form at degree 1200 stays within the limit and answers
+    proc = _cli("normalize", "--algebra", "weyl", "--rationals", "x^1200*t^1200")
+    assert proc.returncode == 0 and not proc.stderr and proc.stdout.startswith("t^1200*x^1200 + ")
 
 
 def test_weyl_degree_2000_answers_with_closed_form():

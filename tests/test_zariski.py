@@ -3,13 +3,16 @@ import random
 
 import pytest
 from oracles import (
+    ideal_by_closure,
     monic_moduli,
     pgcd_many,
     radical_by_powers,
+    ring_law_failure,
     same_radical,
     squarefree_by_trial_division,
 )
 
+from skewpbw import zariski
 from skewpbw.errors import InvalidRing, NotFoundWithinBound, PreconditionFailed, RingTooLarge
 from skewpbw.rings import PrimeField, ResidueRing
 from skewpbw.suites import TEST_RINGS
@@ -17,6 +20,7 @@ from skewpbw.zariski import (
     FiniteCommRing,
     FptBackend,
     RadicalClass,
+    all_ideals,
     boundary_ideal,
     check_boundary_condition,
     check_lattice_laws,
@@ -86,6 +90,43 @@ def test_broken_table_rejected():
     bad_mul = lambda a, b: (a * b + a) % 3  # not associative, not unital
     with pytest.raises(InvalidRing):
         FiniteCommRing(els, add, bad_mul, 0, 1, "broken")
+
+
+def _corrupted(n, rng):
+    """Z/n with one seeded entry of its add or mul table replaced."""
+    a0, b0, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    which, both_orders = rng.choice(["add", "mul"]), rng.random() < 0.5
+
+    def hit(x, y):
+        return {x, y} == {a0, b0} and (both_orders or (x, y) == (a0, b0))
+
+    def add(x, y):
+        return v if which == "add" and hit(x, y) else (x + y) % n
+
+    def mul(x, y):
+        return v if which == "mul" and hit(x, y) else x * y % n
+
+    return add, mul
+
+
+def test_ring_validation_matches_reference():
+    """FiniteCommRing refuses a corrupted table with the first failing law
+    the callables themselves show, exhaustively and by sampling (n = 70)."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(60):
+        n = rng.choice([5, 6, 12, 30, 70])
+        add, mul = _corrupted(n, rng)
+        want = ring_law_failure(range(n), add, mul, 0, 1)
+        try:
+            FiniteCommRing(range(n), add, mul, 0, 1, "corrupted")
+            got = None
+        except InvalidRing as e:
+            got = str(e)
+        assert got == want, n
+        seen.add(None if want is None else want.split(" at ")[0])
+    assert {"addition not associative", "multiplication not associative",
+            "distributivity fails"} <= seen
 
 
 def test_product_ring_laws():
@@ -311,3 +352,94 @@ def test_zariski_D_matches_power_oracle(label, make):
         assert zariski_D(gens, ring).elements == want, gens
     nilradical = radical_by_powers(els, add, mul, zero, ())
     assert frozenset.intersection(*(P.elements for P in enumerate_primes(ring))) == nilradical
+
+
+def _f2_power(k):
+    """F_2^k on flat k-tuples, with its raw add and mul."""
+    def add(x, y):
+        return tuple(a ^ b for a, b in zip(x, y))
+
+    def mul(x, y):
+        return tuple(a & b for a, b in zip(x, y))
+
+    els = itertools.product((0, 1), repeat=k)
+    return FiniteCommRing(els, add, mul, (0,) * k, (1,) * k, f"F_2^{k}"), add, mul
+
+
+def _from_spec(spec):
+    ring = parse_ring_spec(spec)
+    return ring, ring.source.add, ring.source.mul
+
+
+@pytest.mark.parametrize("label, samples", [
+    ("Zmod:12", None), ("quot:F2:x^3", None), ("Zmod:30", 400), ("F_2^6", 400),
+])
+def test_ideal_and_D_match_closure_oracles(label, samples):
+    """ideal_generated and zariski_D, through the join table and the cached
+    primes, against closure and powers on the raw add and mul: on every subset
+    (samples None) or on seeded subsets."""
+    ring, add, mul = _f2_power(6) if label == "F_2^6" else _from_spec(label)
+    els, zero = ring.elements, ring.zero
+    if samples is None:
+        subsets = [tuple(itertools.compress(els, bits))
+                   for bits in itertools.product((0, 1), repeat=ring.size)]
+    else:
+        rng = random.Random(9)
+        subsets = [tuple(rng.sample(els, rng.randint(0, 4))) for _ in range(samples)]
+    for gens in subsets:
+        assert ideal_generated(gens, ring).elements == ideal_by_closure(els, add, mul, zero, gens), gens
+        assert zariski_D(gens, ring).elements == radical_by_powers(els, add, mul, zero, gens), gens
+
+
+def _square_zero_plane():
+    """F_2[x,y]/(x,y)^2 on tuples (a, b, c) = a + b x + c y.  Its ideals <x>,
+    <y> and <x+y> lie between 0 and (x,y) and meet pairwise in 0, so its
+    lattice of ideals is not distributive."""
+    def add(u, v):
+        return tuple((s + t) % 2 for s, t in zip(u, v))
+
+    def mul(u, v):
+        return (u[0] * v[0] % 2, (u[0] * v[1] + u[1] * v[0]) % 2, (u[0] * v[2] + u[2] * v[0]) % 2)
+
+    return FiniteCommRing(itertools.product((0, 1), repeat=3), add, mul, (0, 0, 0), (1, 0, 0),
+                          "F_2[x,y]/(x,y)^2")
+
+
+def _first_failures_direct(ring, D, name):
+    """The case count and first three failures of law (i) or (xii) under D,
+    each case decided afresh as the laws read: the reference for the tables."""
+    if name == "generating-set-vs-ideal":
+        subsets = range(1 << ring.size)
+        fails = [repr(tuple(ring.elements[i] for i in range(ring.size) if X >> i & 1))
+                 for X in subsets if D(ring, X) != D(ring, zariski._ideal(ring, X))]
+        return len(subsets), fails[:3]
+    zar = zariski._zar_elements(ring)
+    fails = []
+    for Z1, Z2, Z3 in itertools.product(zar, repeat=3):
+        if Z1 & D(ring, Z2 | Z3) != D(ring, (Z1 & Z2) | (Z1 & Z3)):
+            fails.append("meet-over-join")
+        elif D(ring, Z1 | (Z2 & Z3)) != D(ring, Z1 | Z2) & D(ring, Z1 | Z3):
+            fails.append("join-over-meet")
+    return len(zar) ** 3, fails[:3]
+
+
+def test_laws_catch_a_wrong_D(monkeypatch):
+    """With D replaced, the laws that read it from tables still decide every
+    case and report the failures a case-by-case check finds: the identity
+    breaks law (i) on Z/12, and ideal closure breaks distributivity where
+    the ideals are not distributive."""
+    right = {law["law"]: law for law in check_lattice_laws(_square_zero_plane())["laws"]}
+    assert right["distributivity"]["ok"]
+    cases = [
+        (lambda: FiniteCommRing.zmod(12), lambda ring, mask: mask, "generating-set-vs-ideal"),
+        (_square_zero_plane, zariski._ideal, "distributivity"),
+    ]
+    for make, wrong_D, name in cases:
+        ring = make()  # fresh: no D-values cached from the right D
+        with monkeypatch.context() as m:
+            m.setattr(zariski, "_radical", wrong_D)
+            law = next(law for law in check_lattice_laws(ring)["laws"] if law["law"] == name)
+            want_cases, want_failures = _first_failures_direct(ring, wrong_D, name)
+        assert not law["ok"] and law["failures"], name
+        assert (law["cases"], law["failures"]) == (want_cases, want_failures), name
+    assert want_cases == len(all_ideals(ring)) ** 3  # every ideal is a D-value under closure
